@@ -87,10 +87,6 @@ class SceneFilter:
         for m, bucket in enumerate(buckets):
             self.set_bit(self.bit_index(m, int(bucket)))
 
-    def insert_one(self, m: int, bucket: int):
-        """Set a single (hash m, bucket) bit; the point-indexed insert path."""
-        self.set_bit(self.bit_index(m, int(bucket)))
-
     def query_membership(self, buckets) -> bool:
         """True iff every addressed bit is set (no false negatives)."""
         if len(buckets) != self.config.M:

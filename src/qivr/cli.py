@@ -264,6 +264,11 @@ def cmd_train(args, cfg: RunConfig) -> int:
     pca = fit_pca(corpus, cfg.d)
     projected = [apply_pca(pca, d) for d in corpus]
     gmm = fit_gmm(projected, cfg.K, seed=cfg.seed)
+    if not gmm.converged:
+        trace = gmm.ll_trace
+        print(f"warning: EM stopped at its cap of {len(trace)} iterations before "
+              f"converging; last log-likelihood gain {trace[-1] - trace[-2]:.3g}",
+              file=sys.stderr)
 
     outdir.mkdir(parents=True, exist_ok=True)
     storage.write_model(outdir / PCA_FILE, pca)
@@ -347,7 +352,7 @@ def cmd_build(args, cfg: RunConfig) -> int:
     _check_models_match(cfg, bundle)
     build = build_bf_gd if cfg.pipeline == PIPELINE_BF_GD else build_bf_pi
     index = build(scenes, bundle, cfg.filter_config(), storage.frame_loader)
-    storage.write_index(outdir / INDEX_FILE, index)
+    index_path = storage.write_index(outdir / INDEX_FILE, index)
     if args.filters:
         storage.write_filters(args.filters, materialize_filters(index),
                               index.filter_config)
@@ -356,7 +361,7 @@ def cmd_build(args, cfg: RunConfig) -> int:
     print(f"frames = {stats.frames}")
     print(f"descriptors = {stats.descriptors}")
     print(f"skipped_empty_frames = {stats.skipped_empty_frames}")
-    print(f"index_bytes = {len(storage.index_to_bytes(index))}")
+    print(f"index_bytes = {index_path.stat().st_size}")
     for sid, count in zip(index.scene_ids, stats.per_scene_setbits):
         print(f"setbits {sid} = {count}")
     return 0

@@ -71,6 +71,8 @@ class DiagonalGmm:
     variances: np.ndarray  # (K, d) floored at VARIANCE_FLOOR
     # per-iteration mean log-likelihood from fitting; not serialized
     ll_trace: np.ndarray | None = field(default=None, compare=False)
+    # whether fitting met its tolerance before the iteration cap; not serialized
+    converged: bool | None = field(default=None, compare=False)
 
     @property
     def n_components(self) -> int:
@@ -162,7 +164,9 @@ def fit_gmm(corpus, n_components: int, seed: int, max_iters: int = 100,
 
     Deterministic for a fixed (corpus, n_components, seed). Components that
     collapse to zero responsibility are re-seeded at the currently
-    worst-explained point. Variances are floored at VARIANCE_FLOOR.
+    worst-explained point. Variances are floored at VARIANCE_FLOOR. The
+    result's ``converged`` is False when EM ran all ``max_iters`` iterations
+    without the log-likelihood gain falling below ``tol``.
     """
     x = _stack_corpus(corpus)
     n, dim = x.shape
@@ -177,6 +181,7 @@ def fit_gmm(corpus, n_components: int, seed: int, max_iters: int = 100,
 
     trace = []
     prev_ll = -np.inf
+    converged = False
     for _ in range(max_iters):
         model = DiagonalGmm(weights, means, variances)
         lj = _log_joint(model, x)
@@ -185,6 +190,7 @@ def fit_gmm(corpus, n_components: int, seed: int, max_iters: int = 100,
         ll = log_norm.mean()
         trace.append(ll)
         if ll - prev_ll < tol and np.isfinite(prev_ll):
+            converged = True
             break
         resp = np.exp(lj - log_norm[:, None])
         nk = resp.sum(axis=0)
@@ -207,7 +213,8 @@ def fit_gmm(corpus, n_components: int, seed: int, max_iters: int = 100,
         means = (resp.T @ x) / nk[:, None]
         second = (resp.T @ (x * x)) / nk[:, None]
         variances = np.maximum(second - means ** 2, VARIANCE_FLOOR)
-    return DiagonalGmm(weights, means, variances, ll_trace=np.asarray(trace))
+    return DiagonalGmm(weights, means, variances, ll_trace=np.asarray(trace),
+                       converged=converged)
 
 
 def compute_fv(gmm: DiagonalGmm, dset: DescriptorSet, normalize: bool = True) -> FisherVector:

@@ -22,7 +22,8 @@ from . import kernels
 from .bloom import FilterConfig, SceneFilter
 from .embedding import (DescriptorSet, DiagonalGmm, PcaModel, apply_pca,
                         compute_fv, point_index_batch)
-from .errors import ConfigError, EmptyInputError, FingerprintMismatch
+from .errors import (BucketRangeError, ConfigError, EmptyInputError,
+                     FingerprintMismatch)
 from .hashing import DOMAIN_GBH, DOMAIN_VBH, HashBank, gbh_chunks
 
 PIPELINE_BF_GD = "bf_gd"
@@ -171,12 +172,15 @@ def _probe_pairs(pipeline: str, bundle: ModelBundle, emb):
     return comp.astype(np.int64), buckets
 
 
-def _hash_embedding(pipeline: str, bundle: ModelBundle, fcfg: FilterConfig, emb) -> np.ndarray:
-    """Hash an embedded frame/query into flat bit indices (one per probe)."""
-    parts, buckets = _probe_pairs(pipeline, bundle, emb)
+def _flat_bits(fcfg: FilterConfig, parts: np.ndarray, buckets: np.ndarray) -> np.ndarray:
     if fcfg.partitioned:
         return parts * fcfg.L_p + buckets
     return buckets
+
+
+def _hash_embedding(pipeline: str, bundle: ModelBundle, fcfg: FilterConfig, emb) -> np.ndarray:
+    """Hash an embedded frame/query into flat bit indices (one per probe)."""
+    return _flat_bits(fcfg, *_probe_pairs(pipeline, bundle, emb))
 
 
 def _build(pipeline: str, scenes, bundle: ModelBundle, fcfg: FilterConfig, loader):
@@ -188,12 +192,13 @@ def _build(pipeline: str, scenes, bundle: ModelBundle, fcfg: FilterConfig, loade
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate scene ids in manifest")
 
-    filters = []
+    parts = [np.empty(0, dtype=np.int64)]
+    buckets = [np.empty(0, dtype=np.int64)]
+    probes_per_scene = np.zeros(len(scenes), dtype=np.int64)
     n_frames = 0
     n_descriptors = 0
     skipped = 0
-    for scene in scenes:
-        filt = SceneFilter(scene.scene_id, fcfg)
+    for ordinal, scene in enumerate(scenes):
         for ref in scene.frame_refs:
             dset = loader(ref)
             if dset.n == 0:
@@ -202,35 +207,34 @@ def _build(pipeline: str, scenes, bundle: ModelBundle, fcfg: FilterConfig, loade
             n_frames += 1
             n_descriptors += dset.n
             projected = apply_pca(bundle.pca, dset)
-            emb = _embed_frame(pipeline, bundle, projected)
-            parts, buckets = _probe_pairs(pipeline, bundle, emb)
-            if pipeline == PIPELINE_BF_GD:
-                filt.insert(buckets)
-            else:
-                for m, bucket in zip(parts, buckets):
-                    filt.insert_one(int(m), int(bucket))
-        filters.append(filt)
+            frame_parts, frame_buckets = _probe_pairs(
+                pipeline, bundle, _embed_frame(pipeline, bundle, projected))
+            parts.append(frame_parts)
+            buckets.append(frame_buckets)
+            probes_per_scene[ordinal] += len(frame_buckets)
 
-    postings: dict[int, list[int]] = {}
-    for ordinal, filt in enumerate(filters):
-        for bit in filt.set_bits():
-            postings.setdefault(int(bit), []).append(ordinal)
+    buckets = np.concatenate(buckets)
+    limit = fcfg.L_p if fcfg.partitioned else fcfg.L_np
+    if buckets.size and (buckets.min() < 0 or buckets.max() >= limit):
+        bad = buckets[(buckets < 0) | (buckets >= limit)][0]
+        raise BucketRangeError(f"bucket {bad} outside the filter's {limit} buckets")
+    bits = _flat_bits(fcfg, np.concatenate(parts), buckets)
+    owners = np.repeat(np.arange(len(scenes), dtype=np.int64), probes_per_scene)
 
-    keys = np.array(sorted(postings), dtype=np.int64)
-    lists = [np.asarray(postings[k], dtype=np.int32) for k in keys]
-    offsets = np.zeros(len(keys) + 1, dtype=np.int64)
-    if lists:
-        offsets[1:] = np.cumsum([len(p) for p in lists])
-        ordinals = np.concatenate(lists)
-    else:
-        ordinals = np.empty(0, dtype=np.int32)
+    # one sorted pass over (bit, scene) pairs gives the CSR postings directly
+    pairs = np.unique(bits * len(scenes) + owners)
+    bit_of = pairs // len(scenes)
+    ordinals = (pairs % len(scenes)).astype(np.int32)
+    starts = np.flatnonzero(np.diff(bit_of, prepend=-1))
+    keys = bit_of[starts]
+    offsets = np.append(starts, len(pairs)).astype(np.int64)
 
     stats = BuildStats(
         scenes=len(scenes),
         frames=n_frames,
         descriptors=n_descriptors,
         skipped_empty_frames=skipped,
-        per_scene_setbits=np.array([f.popcount for f in filters], dtype=np.int64),
+        per_scene_setbits=np.bincount(ordinals, minlength=len(scenes)),
     )
     index = InvertedIndex(
         pipeline=pipeline,

@@ -14,6 +14,9 @@ candidates with the expanded form |c|^2 - 2 x.c (one matmul per block),
 decides near ties again in the subtract-square form, and recomputes each
 winner's distance in that form; its labels and distances equal the
 subtract-square reference exactly, ties going to the lowest index.
+``accumulate_postings_numpy`` is one gather of every hit posting list and
+one ``np.bincount`` pass; since bincount adds in input order and scores
+start at zero, its scores equal the per-probe loop exactly.
 """
 
 from __future__ import annotations
@@ -223,12 +226,20 @@ def accumulate_postings_numpy(key_idx, weights, offsets, ordinals, scores):
 
     key_idx holds the resolved posting-list index per probe, -1 for probes
     whose bucket has no postings. Mutates scores in place.
+
+    Gathers every hit probe's list in probe order and sums them in one
+    ``np.bincount``, which adds its weights in input order. On scores that
+    start at zero, as every caller's do, the result therefore equals the
+    per-probe loop bit for bit. Every ordinal must be below len(scores).
     """
-    for p in range(key_idx.shape[0]):
-        k = key_idx[p]
-        if k < 0:
-            continue
-        scores[ordinals[offsets[k]:offsets[k + 1]]] += weights[p]
+    live = key_idx >= 0
+    hit = key_idx[live]
+    starts = offsets[hit]
+    lens = offsets[hit + 1] - starts
+    ends = np.cumsum(lens)  # where each list ends once gathered
+    pos = np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - (ends - lens), lens)
+    scores += np.bincount(ordinals[pos], weights=np.repeat(weights[live], lens),
+                          minlength=len(scores))
 
 
 if NUMBA_AVAILABLE:

@@ -21,7 +21,7 @@ from . import index as index_mod
 from .baseline import GRANULARITIES, FvStarDatabase, ShotRecord
 from .bloom import FilterConfig, SceneFilter
 from .embedding import DescriptorSet, DiagonalGmm, PcaModel
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .hashing import (FAMILIES, DOMAINS, FAMILY_LSH_B, FAMILY_VQ,
                       BitSampleHash, HashBank, HashFamilyConfig, PlaneHash,
                       VqHash)
@@ -69,7 +69,11 @@ class _Reader:
         return out
 
     def string(self) -> str:
-        return self.raw(self.take("<H")).decode("utf-8")
+        raw = self.raw(self.take("<H"))
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"identifier in {self.label} file is not UTF-8") from exc
 
     def finish(self):
         if self.pos != len(self.buf):
@@ -158,8 +162,11 @@ def _read_hcfg(r: _Reader) -> HashFamilyConfig:
     family, domain, m, n, input_dim, seed = r.take("<BBIBIQ")
     if family >= len(FAMILIES) or domain >= len(DOMAINS):
         raise FormatError(f"unknown family/domain codes ({family}, {domain})")
-    return HashFamilyConfig(family=FAMILIES[family], domain=DOMAINS[domain],
-                            M=m, n=n, input_dim=input_dim, seed=seed)
+    try:
+        return HashFamilyConfig(family=FAMILIES[family], domain=DOMAINS[domain],
+                                M=m, n=n, input_dim=input_dim, seed=seed)
+    except ConfigError as exc:
+        raise FormatError(f"invalid hash configuration in {r.label} file: {exc}") from exc
 
 
 def bank_to_bytes(bank: HashBank) -> bytes:
@@ -205,7 +212,12 @@ def _fcfg_block(cfg: FilterConfig) -> bytes:
 
 def _read_fcfg(r: _Reader) -> FilterConfig:
     partitioned, m, l_p, l_np = r.take("<BIQQ")
-    return FilterConfig(partitioned=bool(partitioned), M=m, L_p=l_p, L_np=l_np)
+    if partitioned > 1:
+        raise FormatError(f"bad partitioned flag {partitioned} in {r.label} file")
+    try:
+        return FilterConfig(partitioned=bool(partitioned), M=m, L_p=l_p, L_np=l_np)
+    except ConfigError as exc:
+        raise FormatError(f"invalid filter configuration in {r.label} file: {exc}") from exc
 
 
 def filters_to_bytes(filters, config: FilterConfig) -> bytes:
@@ -235,11 +247,24 @@ def filters_from_bytes(buf: bytes):
 
 
 # ---------------------------------------------------------------- QIVI
+#
+# After the header, scene ids and a u64 key count come the posting records,
+# one per key in ascending key order: a (u16 hash m, u32 bucket, u32 df) head
+# and df u32 ordinal deltas (the first delta is the first ordinal). The f32
+# IDF weights, one per key, close the file.
 
-def _split_key(key: int, fcfg: FilterConfig):
-    if fcfg.partitioned:
-        return key // fcfg.L_p, key % fcfg.L_p
-    return 0, key
+_POSTING_HEAD = np.dtype([("m", "<u2"), ("bucket", "<u4"), ("df", "<u4")])  # packed
+_DF = struct.Struct("<I")
+_DF_AT = _POSTING_HEAD.fields["df"][1]
+
+
+def _head_mask(offsets: np.ndarray) -> np.ndarray:
+    """Which bytes of the posting records are heads, for CSR offsets."""
+    n_keys = len(offsets) - 1
+    at = np.arange(n_keys) * _POSTING_HEAD.itemsize + 4 * offsets[:-1]
+    mask = np.zeros(n_keys * _POSTING_HEAD.itemsize + 4 * int(offsets[-1]), dtype=bool)
+    mask[(at[:, None] + np.arange(_POSTING_HEAD.itemsize)).ravel()] = True
+    return mask
 
 
 def index_to_bytes(index: InvertedIndex) -> bytes:
@@ -254,15 +279,28 @@ def index_to_bytes(index: InvertedIndex) -> bytes:
     parts.append(struct.pack("<I", index.n_scenes))
     for sid in index.scene_ids:
         parts.append(_pack_string(sid))
-    parts.append(struct.pack("<Q", len(index.keys)))
-    for i, key in enumerate(index.keys):
-        m, bucket = _split_key(int(key), fcfg)
-        if m > 0xFFFF or bucket > 0xFFFFFFFF:
-            raise FormatError(f"posting key {key} exceeds the (u16, u32) field widths")
-        lst = index.ordinals[index.offsets[i]:index.offsets[i + 1]]
-        parts.append(struct.pack("<HII", m, bucket, len(lst)))
-        deltas = np.diff(lst.astype(np.int64), prepend=0)
-        parts.append(np.ascontiguousarray(deltas, dtype="<u4").tobytes())
+    keys, offsets, ordinals = index.keys, index.offsets, index.ordinals
+    parts.append(struct.pack("<Q", len(keys)))
+
+    if fcfg.partitioned:
+        m, bucket = np.divmod(keys, fcfg.L_p)
+    else:
+        m, bucket = np.zeros_like(keys), keys
+    wide = (keys < 0) | (m > 0xFFFF) | (bucket > 0xFFFFFFFF)
+    if wide.any():
+        raise FormatError(f"posting key {keys[wide][0]} exceeds the (u16, u32) field widths")
+    head = np.empty(len(keys), dtype=_POSTING_HEAD)
+    head["m"], head["bucket"], head["df"] = m, bucket, np.diff(offsets)
+    if np.any(head["df"] == 0):
+        raise FormatError("empty posting list")
+    deltas = np.diff(ordinals.astype(np.int64), prepend=0)
+    deltas[offsets[:-1]] = ordinals[offsets[:-1]]
+    mask = _head_mask(offsets)
+    records = np.empty(len(mask), dtype=np.uint8)
+    records[mask] = head.view(np.uint8)
+    records[~mask] = deltas.astype("<u4").view(np.uint8)
+    parts.append(records.tobytes())
+
     if index.idf is None:
         index_mod.compute_idf(index)
     parts.append(_f32(index.idf))
@@ -272,30 +310,75 @@ def index_to_bytes(index: InvertedIndex) -> bytes:
 def index_from_bytes(buf: bytes) -> InvertedIndex:
     r = _Reader(buf, "index")
     _header(r, MAGIC_INDEX)
-    pipeline = index_mod.PIPELINES[r.take("<B")]
+    code = r.take("<B")
+    if code >= len(index_mod.PIPELINES):
+        raise FormatError(f"unknown pipeline code {code}")
+    pipeline = index_mod.PIPELINES[code]
     fcfg = _read_fcfg(r)
     hcfg = _read_hcfg(r)
     fingerprints = tuple(r.raw(32) for _ in range(3))
     n_scenes = r.take("<I")
     scene_ids = tuple(r.string() for _ in range(n_scenes))
     n_keys = r.take("<Q")
-    keys = np.empty(n_keys, dtype=np.int64)
-    offsets = np.zeros(n_keys + 1, dtype=np.int64)
-    lists = []
-    for i in range(n_keys):
-        m, bucket, df = r.take("<HII")
-        keys[i] = m * fcfg.L_p + bucket if fcfg.partitioned else bucket
-        deltas = r.array("<u4", df).astype(np.int64)
-        lists.append(np.cumsum(deltas).astype(np.int32))
-        offsets[i + 1] = offsets[i] + df
+    # every key takes at least a record head and its IDF weight
+    if n_keys * (_POSTING_HEAD.itemsize + 4) > len(buf) - r.pos:
+        raise FormatError(f"{n_keys} posting lists cannot fit in the index file")
+
+    # one pass over the record heads' df fields finds where records start
+    begin, end = r.pos, len(buf) - 4 * n_keys
+    starts = []
+    pos = begin
+    for _ in range(n_keys):
+        if pos + _POSTING_HEAD.itemsize > end:
+            raise FormatError("truncated index file")
+        starts.append(pos)
+        pos += _POSTING_HEAD.itemsize + 4 * _DF.unpack_from(buf, pos + _DF_AT)[0]
+    if pos > end:
+        raise FormatError("truncated index file")
+    if pos < end:
+        raise FormatError(f"{end - pos} trailing bytes in index file")
+    r.pos = end
     stored_idf = r.array("<f4", n_keys)
     r.finish()
+
+    df = (np.diff(np.array(starts + [end], dtype=np.int64)) - _POSTING_HEAD.itemsize) // 4
+    if np.any(df == 0):
+        raise FormatError("empty posting list")
+    offsets = np.zeros(n_keys + 1, dtype=np.int64)
+    np.cumsum(df, out=offsets[1:])
+    records = np.frombuffer(buf, dtype=np.uint8, count=end - begin, offset=begin)
+    mask = _head_mask(offsets)
+    head = records[mask].view(_POSTING_HEAD)
+    deltas = records[~mask].view("<u4").astype(np.int64)
+
+    m = head["m"].astype(np.int64)
+    bucket = head["bucket"].astype(np.int64)
+    if fcfg.n_bits > np.iinfo(np.int64).max:
+        raise FormatError(f"filter of {fcfg.n_bits} bits is too large")
+    if fcfg.partitioned:
+        if np.any(m >= fcfg.M) or np.any(bucket >= fcfg.L_p):
+            raise FormatError("posting key outside the filter")
+        keys = m * fcfg.L_p + bucket
+    else:
+        if np.any(m != 0) or np.any(bucket >= fcfg.L_np):
+            raise FormatError("posting key outside the filter")
+        keys = bucket
     if np.any(np.diff(keys) <= 0):
         raise FormatError("posting keys out of order")
-    ordinals = np.concatenate(lists) if lists else np.empty(0, dtype=np.int32)
+
+    first = offsets[:-1]
+    rising = deltas > 0
+    rising[first] = True
+    if not rising.all():
+        raise FormatError("scene ordinals do not increase within a posting list")
+    ordinals = np.cumsum(deltas)
+    ordinals -= np.repeat(ordinals[first] - deltas[first], df)
+    if len(ordinals) and ordinals.max() >= n_scenes:
+        raise FormatError(f"scene ordinal {ordinals.max()} outside {n_scenes} scenes")
+
     index = InvertedIndex(pipeline=pipeline, filter_config=fcfg, hash_config=hcfg,
                           scene_ids=scene_ids, keys=keys, offsets=offsets,
-                          ordinals=ordinals, fingerprints=fingerprints)
+                          ordinals=ordinals.astype(np.int32), fingerprints=fingerprints)
     index_mod.compute_idf(index)  # recompute in float64 from the postings
     if not np.array_equal(stored_idf, index.idf.astype("<f4")):
         raise FormatError("stored IDF weights disagree with the postings")

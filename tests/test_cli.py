@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from qivr import cli, storage
+from qivr.embedding import fit_gmm
 from qivr.index import ScoringConfig, compute_idf, score_query
 
 CONFIG = """\
@@ -264,3 +266,27 @@ def test_missing_file_exits_one(ws):
     code, _, err = run(ws.args("train", str(ws.root / "absent.tsv")))
     assert code == 1
     assert "error" in err
+
+
+def test_train_warns_when_em_stops_at_its_cap(ws, tmp_path, monkeypatch):
+    # the test world converges under the default cap, so nothing is printed
+    code, _, err = run(ws.args("train", str(ws.manifest), "--output", str(tmp_path / "a")))
+    assert code == 0 and "EM" not in err
+    monkeypatch.setattr(cli, "fit_gmm", functools.partial(fit_gmm, max_iters=2))
+    code, out, err = run(ws.args("train", str(ws.manifest), "--output", str(tmp_path / "b")))
+    assert code == 0
+    assert err.count("warning: EM stopped at its cap of 2 iterations") == 1
+    # the benchmark reads "fallback" as a VQ failure; an EM cap is not one
+    assert "fallback" not in err.lower()
+    assert set(lines_to_dict(out)) == {"pca_sha256", "gmm_sha256", "bank_sha256"}
+
+
+def test_evaluate_corrupt_index_exits_one(ws, tmp_path):
+    blob = bytearray(ws.index_file.read_bytes())
+    blob[8] = 7  # the pipeline code
+    bad = tmp_path / "bad.qivi"
+    bad.write_bytes(bytes(blob))
+    code, _, err = run(ws.args("evaluate", str(bad), str(ws.queries), str(ws.truth),
+                               "--models", str(ws.models)))
+    assert code == 1
+    assert err.startswith("error: ") and "pipeline" in err

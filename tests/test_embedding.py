@@ -159,6 +159,20 @@ def test_gmm_monotone_log_likelihood():
     assert np.all(diffs >= -1e-9)
 
 
+def test_gmm_reports_convergence():
+    rng = np.random.default_rng(9)
+    pts = np.vstack([rng.standard_normal((70, 2)),
+                     rng.standard_normal((70, 2)) + 4])
+    capped = fit_gmm([_dset(pts)], 3, seed=2, max_iters=2)
+    assert capped.converged is False
+    assert len(capped.ll_trace) == 2
+    done = fit_gmm([_dset(pts)], 3, seed=2)
+    assert done.converged is True
+    assert len(done.ll_trace) < 100
+    # a fitting record, not part of the model's value
+    assert capped == DiagonalGmm(capped.weights, capped.means, capped.variances)
+
+
 def test_gmm_bit_identical_for_same_seed():
     pts = np.random.default_rng(10).standard_normal((90, 3))
     a = fit_gmm([_dset(pts)], 4, seed=11)

@@ -166,6 +166,16 @@ def test_accumulate_postings_hand_case():
         np.testing.assert_allclose(scores, [1.5, 2.0, 1.5], err_msg=label)
 
 
+def _accumulate_loop(key_idx, weights, lists, n_scenes):
+    # the reference: one probe at a time, in probe order, from zero
+    want = np.zeros(n_scenes)
+    for p in range(len(key_idx)):
+        if key_idx[p] >= 0:
+            for v in lists[key_idx[p]]:
+                want[v] += weights[p]
+    return want
+
+
 def test_accumulate_postings_matches_loop(rng):
     n_keys, n_scenes, n_probes = 40, 25, 200
     lists = [np.sort(rng.choice(n_scenes, size=rng.integers(1, 6), replace=False))
@@ -173,17 +183,21 @@ def test_accumulate_postings_matches_loop(rng):
     offsets = np.zeros(n_keys + 1, dtype=np.int64)
     offsets[1:] = np.cumsum([len(l) for l in lists])
     ordinals = np.concatenate(lists).astype(np.int32)
-    key_idx = rng.integers(-1, n_keys, size=n_probes)
-    weights = rng.uniform(0.0, 3.0, n_probes)
-    want = np.zeros(n_scenes)
-    for p in range(n_probes):
-        if key_idx[p] >= 0:
-            for v in lists[key_idx[p]]:
-                want[v] += weights[p]
-    for label, fn in _backends("accumulate_postings"):
-        scores = np.zeros(n_scenes)
-        fn(key_idx.astype(np.int64), weights, offsets, ordinals, scores)
-        np.testing.assert_allclose(scores, want, rtol=1e-12, err_msg=label)
+    cases = {
+        "random": rng.integers(-1, n_keys, size=n_probes),
+        # every probe of a few keys, many times over, in shuffled order
+        "repeated_keys": rng.permutation(np.repeat([3, 7, 7, 19], 50)),
+        "all_miss": np.full(n_probes, -1),
+        "no_probes": np.empty(0, dtype=np.int64),
+    }
+    for case, key_idx in cases.items():
+        key_idx = key_idx.astype(np.int64)
+        weights = rng.uniform(0.0, 3.0, len(key_idx))
+        want = _accumulate_loop(key_idx, weights, lists, n_scenes)
+        for label, fn in _backends("accumulate_postings"):
+            scores = np.zeros(n_scenes)
+            fn(key_idx, weights, offsets, ordinals, scores)
+            np.testing.assert_array_equal(scores, want, err_msg=f"{label} {case}")
 
 
 def test_backend_pairs_agree(rng):

@@ -1,5 +1,10 @@
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qivr import storage
 from qivr.baseline import FvStarDatabase, ShotRecord, binarize_fv
@@ -157,6 +162,54 @@ def test_index_rejects_tampered_idf():
         storage.index_from_bytes(bytes(blob))
 
 
+def _index_from_lists(keys, lists, fcfg, n_scenes, pipeline=PIPELINE_BF_GD):
+    offsets = np.zeros(len(keys) + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum([len(l) for l in lists])
+    index = InvertedIndex(
+        pipeline=pipeline, filter_config=fcfg,
+        hash_config=HashFamilyConfig("lsh_s", "gbh", M=fcfg.M, n=4, input_dim=4, seed=2),
+        scene_ids=tuple(f"scene{i}" for i in range(n_scenes)),
+        keys=np.asarray(keys, dtype=np.int64), offsets=offsets,
+        ordinals=np.concatenate(lists).astype(np.int32),
+        fingerprints=(bytes(range(32)), bytes(32), b"\xff" * 32))
+    compute_idf(index)
+    return index
+
+
+@pytest.mark.parametrize("partitioned", [True, False])
+def test_index_layout_matches_format(partitioned):
+    # the QIVI layout written out field by field, independently of storage.py
+    if partitioned:
+        fcfg = FilterConfig(partitioned=True, M=2, L_p=16)
+        keys, heads = [1, 17, 30], [(0, 1), (1, 1), (1, 14)]
+    else:
+        fcfg = FilterConfig(partitioned=False, M=2, L_np=64)
+        keys, heads = [5, 40, 63], [(0, 5), (0, 40), (0, 63)]
+    lists = [[0, 2], [1], [0, 1, 2]]
+    deltas = [[0, 2], [1], [0, 1, 1]]
+    index = _index_from_lists(keys, [np.array(l) for l in lists], fcfg, 3)
+
+    want = b"QIVI" + struct.pack("<IB", 1, 0)
+    want += struct.pack("<BIQQ", int(partitioned), 2, fcfg.L_p, fcfg.L_np)
+    want += struct.pack("<BBIBIQ", 1, 1, 2, 4, 4, 2)  # lsh_s, gbh, M, n, dim, seed
+    want += bytes(range(32)) + bytes(32) + b"\xff" * 32
+    want += struct.pack("<I", 3)
+    for i in range(3):
+        want += struct.pack("<H", 6) + f"scene{i}".encode()
+    want += struct.pack("<Q", 3)
+    for (m, bucket), lst, dl in zip(heads, lists, deltas):
+        want += struct.pack("<HII", m, bucket, len(lst)) + struct.pack(f"<{len(dl)}I", *dl)
+    for lst in lists:
+        want += struct.pack("<f", math.log(4.0 / (len(lst) + 1.0)) + 1.0)
+
+    assert storage.index_to_bytes(index) == want
+    loaded = storage.index_from_bytes(want)
+    np.testing.assert_array_equal(loaded.keys, keys)
+    np.testing.assert_array_equal(loaded.offsets, [0, 2, 3, 6])
+    np.testing.assert_array_equal(loaded.ordinals, [0, 2, 1, 0, 1, 2])
+    assert loaded.ordinals.dtype == np.int32
+
+
 @pytest.mark.parametrize("granularity", ["scene", "shot", "frame"])
 def test_fvstar_round_trip(granularity):
     rows = np.vstack([binarize_fv(RNG.standard_normal(12)) for _ in range(6)])
@@ -203,6 +256,104 @@ def test_negative_seed_rejected():
     object.__setattr__(bank.config, "seed", -1)
     with pytest.raises(FormatError):
         storage.bank_to_bytes(bank)
+
+
+# QIVI field positions in an index with scene ids "scene0" ... (6 bytes each):
+# magic, version, pipeline code, filter block, hash block, three digests and
+# the scene count come first
+QIVI_PIPELINE_AT = 8
+QIVI_SCENES_AT = 4 + 4 + 1 + 21 + 19 + 3 * 32 + 4
+
+
+def _qivi_keys_at(index):
+    return QIVI_SCENES_AT + sum(2 + len(sid) for sid in index.scene_ids)
+
+
+def _sixteen_scene_index():
+    fcfg = FilterConfig(partitioned=True, M=3, L_p=16)
+    lists = [np.array([0, 4, 15]), np.array([2]), np.array([3, 9])]
+    return _index_from_lists([2, 20, 47], lists, fcfg, 16)
+
+
+def _corrupt(blob, at, fmt, value):
+    out = bytearray(blob)
+    struct.pack_into(fmt, out, at, value)
+    return bytes(out)
+
+
+def test_index_rejects_unknown_pipeline_code():
+    blob = storage.index_to_bytes(_sixteen_scene_index())
+    with pytest.raises(FormatError, match="pipeline"):
+        storage.index_from_bytes(_corrupt(blob, QIVI_PIPELINE_AT, "<B", 7))
+
+
+def test_index_rejects_non_utf8_scene_id():
+    blob = storage.index_to_bytes(_sixteen_scene_index())
+    with pytest.raises(FormatError, match="UTF-8"):
+        storage.index_from_bytes(_corrupt(blob, QIVI_SCENES_AT + 2, "<B", 0xFF))
+
+
+def test_index_rejects_key_count_beyond_file():
+    index = _sixteen_scene_index()
+    blob = storage.index_to_bytes(index)
+    with pytest.raises(FormatError, match="cannot fit"):
+        storage.index_from_bytes(_corrupt(blob, _qivi_keys_at(index), "<Q", 2 ** 40))
+
+
+def test_index_rejects_ordinal_beyond_scene_count():
+    index = _sixteen_scene_index()
+    blob = storage.index_to_bytes(index)
+    first_delta = _qivi_keys_at(index) + 8 + 10
+    with pytest.raises(FormatError, match="ordinal"):
+        storage.index_from_bytes(_corrupt(blob, first_delta, "<I", 1000))
+
+
+def test_index_rejects_unordered_and_empty_postings():
+    index = _sixteen_scene_index()
+    blob = storage.index_to_bytes(index)
+    second_delta = _qivi_keys_at(index) + 8 + 10 + 4
+    with pytest.raises(FormatError, match="increase"):
+        storage.index_from_bytes(_corrupt(blob, second_delta, "<I", 0))
+    # the df of the first list set to 0 shifts every later record
+    with pytest.raises(FormatError):
+        storage.index_from_bytes(_corrupt(blob, _qivi_keys_at(index) + 8 + 6, "<I", 0))
+    empty = _index_from_lists([2, 20], [np.array([1]), np.array([], dtype=np.int64)],
+                              FilterConfig(partitioned=True, M=3, L_p=16), 4)
+    with pytest.raises(FormatError, match="empty"):
+        storage.index_to_bytes(empty)
+
+
+@pytest.mark.parametrize("partitioned", [True, False])
+def test_index_byte_sweep_reads_back_or_raises(partitioned):
+    # every byte of a small valid index set to 0x00, 0xFF and 0x07 in turn
+    blob = storage.index_to_bytes(_toy_index(partitioned=partitioned))
+    outcomes = {"read": 0, "rejected": 0}
+    for at in range(len(blob)):
+        for value in (0x00, 0xFF, 0x07):
+            variant = _corrupt(blob, at, "<B", value)
+            try:
+                loaded = storage.index_from_bytes(variant)
+            except FormatError:
+                outcomes["rejected"] += 1
+                continue
+            outcomes["read"] += 1
+            # what the reader accepts writes back to the same bytes, and its
+            # ordinals index the scene list
+            assert storage.index_to_bytes(loaded) == variant, (at, value)
+            assert loaded.ordinals.max() < loaded.n_scenes
+    assert outcomes["read"] and outcomes["rejected"]
+
+
+_QIVI = storage.index_to_bytes(_toy_index())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cut=st.integers(0, len(_QIVI) - 1), tail=st.binary(min_size=1, max_size=64))
+def test_index_truncated_or_extended_raises_format_error(cut, tail):
+    with pytest.raises(FormatError):
+        storage.index_from_bytes(_QIVI[:cut])
+    with pytest.raises(FormatError):
+        storage.index_from_bytes(_QIVI + tail)
 
 
 # ------------------------------------------------------------ file layer
