@@ -1,9 +1,9 @@
-"""Times the numpy and numba variants of every hot kernel.
+"""Times every hot kernel in `qivr.kernels`.
 
 Run: python3 benchmarks/bench_kernels.py [--repeats N]
-The numba column is absent when numba is not installed. Each kernel runs on
-one synthetic case; accumulate_postings also runs at the index shapes of the
-end-to-end benchmark's pi_short and gd_long workloads (indented rows).
+Each kernel runs on one synthetic case; accumulate_postings also runs at the
+index shapes of the end-to-end benchmark's pi_short and gd_long workloads
+(indented rows).
 """
 
 import argparse
@@ -15,7 +15,7 @@ from qivr import kernels
 
 
 def timeit(fn, args, repeats):
-    fn(*args)  # warm-up; also triggers JIT compilation
+    fn(*args)  # warm-up
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -81,19 +81,13 @@ def main():
     args = parser.parse_args()
 
     cases = make_cases(np.random.default_rng(0))
-    print(f"selected backend: {kernels.backend_name()}    repeats: {args.repeats}")
-    header = f"{'kernel':<22}{'numpy (ms)':>12}{'numba (ms)':>12}{'speedup':>10}"
+    print(f"repeats: {args.repeats}")
+    header = f"{'kernel':<22}{'best (ms)':>12}"
     print(header)
     print("-" * len(header))
     for label, name, case in cases:
-        np_time = timeit(getattr(kernels, f"{name}_numpy"), case, args.repeats)
-        row = f"{label:<22}{np_time * 1e3:>12.3f}"
-        if kernels.NUMBA_AVAILABLE:
-            nb_time = timeit(getattr(kernels, f"{name}_numba"), case, args.repeats)
-            row += f"{nb_time * 1e3:>12.3f}{np_time / nb_time:>9.1f}x"
-        else:
-            row += f"{'n/a':>12}{'n/a':>10}"
-        print(row)
+        best = timeit(getattr(kernels, name), case, args.repeats)
+        print(f"{label:<22}{best * 1e3:>12.3f}")
 
 
 if __name__ == "__main__":

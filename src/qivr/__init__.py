@@ -23,12 +23,10 @@ from .hashing import (HashBank, HashFamilyConfig, sample_hash_bank,
 from .index import (InvertedIndex, ModelBundle, QueryResult, SceneRecord,
                     ScoringConfig, build_bf_gd, build_bf_pi, compute_idf,
                     materialize_filters, rank_ties, score_query)
-from .kernels import BACKEND, backend_name
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BucketRangeError",
     "ConfigError",
     "DescriptorSet",
@@ -56,7 +54,6 @@ __all__ = [
     "aggregate_trials",
     "apply_pca",
     "average_precision",
-    "backend_name",
     "bit_budget",
     "build_bf_gd",
     "build_bf_pi",

@@ -1,108 +1,28 @@
 """Command-line interface: train, build, query, evaluate, gen-synth.
 
-Settings resolve in three layers: built-in desk-scale defaults, then a
-`key = value` config file (--config), then explicit command-line flags.
+The commands parse their arguments, print and pick exit codes; the stages
+they run live in `pipeline`. Settings resolve in three layers: built-in
+desk-scale defaults, then a `key = value` config file (--config), then
+explicit command-line flags.
 Exit codes: 0 success, 2 config validation failure, 1 any other error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import hashlib
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from . import baseline, evaluation, storage
-from .bloom import FilterConfig
-from .embedding import (DescriptorSet, apply_pca, compute_fv, fit_gmm,
-                        fit_pca, point_index_batch)
+from . import evaluation, pipeline, storage
 from .errors import ConfigError, QivrError
-from .hashing import (DOMAIN_GBH, DOMAIN_VBH, DOMAINS, FAMILIES, FAMILY_VQ,
-                      HashFamilyConfig, sample_hash_bank, train_vq_bank)
-from .index import (PIPELINE_BF_GD, PIPELINE_BF_PI, ModelBundle,
-                    ScoringConfig, SCORE_HASH_MATCHES, SCORE_TFIDF,
-                    build_bf_gd, build_bf_pi, compute_idf, materialize_filters,
-                    score_query)
-
-PIPELINE_SCENE_FV = "scene_fv_star"
-PIPELINE_FRAME_FV = "frame_fv_star"
-PIPELINES = (PIPELINE_BF_GD, PIPELINE_BF_PI, PIPELINE_SCENE_FV, PIPELINE_FRAME_FV)
-
-RANDOMIZED_FAMILIES = ("lsh_c", "lsh_s", "lsh_b")
-
-PCA_FILE = "pca.qivm"
-GMM_FILE = "gmm.qivm"
-BANK_FILE = "bank.qivh"
-INDEX_FILE = "index.qivi"
-FVSTAR_FILE = "fvstar.qivf"
-SHOTS_FILE = "shots.qivf"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Desk-scale defaults; larger corpora set their values via config file."""
-
-    pipeline: str = PIPELINE_BF_GD
-    family: str = "lsh_c"
-    domain: str = DOMAIN_GBH
-    M: int = 16
-    n: int = 8
-    K: int = 16
-    d: int = 8
-    alpha: float = 0.5
-    scoring: str = SCORE_TFIDF
-    partitioned: bool = True
-    seed: int = 0
-    trials: int = 1
-    shortlist_size: int = 100
-    top_k: int = 0
-
-    def __post_init__(self):
-        if self.pipeline not in PIPELINES:
-            raise ConfigError(f"unknown pipeline {self.pipeline!r}")
-        if self.family not in FAMILIES:
-            raise ConfigError(f"unknown hash family {self.family!r}")
-        if self.domain not in DOMAINS:
-            raise ConfigError(f"unknown hash domain {self.domain!r}")
-        for name in ("M", "n", "K", "d", "trials", "shortlist_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.n > 24:
-            raise ConfigError("n must be <= 24")
-        if self.scoring not in (SCORE_HASH_MATCHES, SCORE_TFIDF):
-            raise ConfigError(f"unknown scoring mode {self.scoring!r}")
-        if self.top_k < 0:
-            raise ConfigError("top_k must be >= 0")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.pipeline == PIPELINE_BF_PI and self.domain != DOMAIN_GBH:
-            raise ConfigError("bf_pi requires domain = gbh")
-        if self.pipeline == PIPELINE_BF_PI and self.M != self.K:
-            raise ConfigError(f"bf_pi requires M = K, got M={self.M} K={self.K}")
-        if self.domain == DOMAIN_GBH and self.pipeline in (PIPELINE_BF_GD, PIPELINE_BF_PI) \
-                and self.M != self.K:
-            raise ConfigError(f"gbh requires M = K, got M={self.M} K={self.K}")
-        if self.family == FAMILY_VQ and self.n > 16:
-            raise ConfigError("vq requires n <= 16")
-
-    @property
-    def input_dim(self) -> int:
-        return self.d if self.domain == DOMAIN_GBH else self.K * self.d
-
-    def hash_config(self) -> HashFamilyConfig:
-        return HashFamilyConfig(family=self.family, domain=self.domain, M=self.M,
-                                n=self.n, input_dim=self.input_dim, seed=self.seed)
-
-    def filter_config(self) -> FilterConfig:
-        if self.partitioned:
-            return FilterConfig(partitioned=True, M=self.M, L_p=1 << self.n)
-        return FilterConfig(partitioned=False, M=self.M, L_np=1 << self.n)
-
-    def scoring_config(self) -> ScoringConfig:
-        return ScoringConfig(mode=self.scoring, alpha=self.alpha)
+from .hashing import DOMAINS, FAMILIES
+from .index import (SCORE_HASH_MATCHES, SCORE_TFIDF, compute_idf,
+                    materialize_filters, score_query)
+# the model and index file names are read from here by e2ebench/flow.py
+from .pipeline import (BANK_FILE, FVSTAR_FILE, GMM_FILE, INDEX_FILE,  # noqa: F401
+                       PCA_FILE, PIPELINE_FRAME_FV, PIPELINE_SCENE_FV, PIPELINES,
+                       SHOTS_FILE, RunConfig)
 
 
 _INT_KEYS = ("M", "n", "K", "d", "seed", "trials", "shortlist_size", "top_k")
@@ -222,136 +142,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# ------------------------------------------------------------ training
-
-def _load_training(manifest_path):
-    scenes, _ = storage.read_manifest(manifest_path)
-    corpus = []
-    for scene in scenes:
-        for ref in scene.frame_refs:
-            dset = storage.frame_loader(ref)
-            if dset.n:
-                corpus.append(dset)
-    return scenes, corpus
-
-
-def _vq_pools(cfg: RunConfig, corpus, pca, gmm):
-    """Training pools for VQ centroids, matching what the pipeline hashes."""
-    if cfg.domain == DOMAIN_VBH:
-        fvs = []
-        for dset in corpus:
-            fv = compute_fv(gmm, apply_pca(pca, dset), normalize=True)
-            fvs.append(fv.values)
-        return np.asarray(fvs)
-    if cfg.pipeline == PIPELINE_BF_PI:
-        projected = np.vstack([apply_pca(pca, d).vectors for d in corpus])
-        comp, _, residuals = point_index_batch(gmm, projected)
-        return [residuals[comp == r] for r in range(cfg.K)]
-    # bf_gd over per-Gaussian FV chunks
-    chunks = [[] for _ in range(cfg.K)]
-    for dset in corpus:
-        fv = compute_fv(gmm, apply_pca(pca, dset), normalize=True)
-        for k, chunk in enumerate(fv.values.reshape(cfg.K, cfg.d)):
-            chunks[k].append(chunk)
-    return [np.asarray(c) for c in chunks]
-
+# ------------------------------------------------------------ commands
 
 def cmd_train(args, cfg: RunConfig) -> int:
-    outdir = Path(args.output or "models")
-    _, corpus = _load_training(args.manifest)
-    if not corpus:
-        raise QivrError("training manifest holds no descriptors")
-    pca = fit_pca(corpus, cfg.d)
-    projected = [apply_pca(pca, d) for d in corpus]
-    gmm = fit_gmm(projected, cfg.K, seed=cfg.seed)
-    if not gmm.converged:
-        trace = gmm.ll_trace
+    bundle = pipeline.train(cfg, args.manifest)
+    if not bundle.gmm.converged:
+        trace = bundle.gmm.ll_trace
         print(f"warning: EM stopped at its cap of {len(trace)} iterations before "
               f"converging; last log-likelihood gain {trace[-1] - trace[-2]:.3g}",
               file=sys.stderr)
-
-    outdir.mkdir(parents=True, exist_ok=True)
-    storage.write_model(outdir / PCA_FILE, pca)
-    storage.write_model(outdir / GMM_FILE, gmm)
-
-    bank = None
-    if cfg.pipeline in (PIPELINE_BF_GD, PIPELINE_BF_PI):
-        hcfg = cfg.hash_config()
-        if cfg.family == FAMILY_VQ:
-            pools = _vq_pools(cfg, corpus, pca, gmm)
-            bank = train_vq_bank(pools, hcfg)
-            if not bank.report.clean:
-                sizes = ", ".join(f"hash {m} ({size} points)"
-                                  for m, size in bank.report.fallbacks)
-                print(f"warning: sampled-centroid fallback for {sizes}", file=sys.stderr)
-        else:
-            bank = sample_hash_bank(hcfg)
-        storage.write_bank(outdir / BANK_FILE, bank)
-
-    _print_digests(pca, gmm, bank)
+    report = bundle.bank.report if bundle.bank is not None else None
+    if report is not None and not report.clean:
+        sizes = ", ".join(f"hash {m} ({size} points)" for m, size in report.fallbacks)
+        print(f"warning: sampled-centroid fallback for {sizes}", file=sys.stderr)
+    pipeline.save_models(args.output or "models", bundle)
+    _print_digests(bundle)
     return 0
 
 
-def _print_digests(pca, gmm, bank):
-    import hashlib
-    print(f"pca_sha256 = {hashlib.sha256(storage.model_to_bytes(pca)).hexdigest()}")
-    print(f"gmm_sha256 = {hashlib.sha256(storage.model_to_bytes(gmm)).hexdigest()}")
-    if bank is not None:
-        print(f"bank_sha256 = {hashlib.sha256(storage.bank_to_bytes(bank)).hexdigest()}")
-
-
-def _load_bundle(models_dir, need_bank: bool = True) -> ModelBundle:
-    models_dir = Path(models_dir)
-    pca = storage.read_model(models_dir / PCA_FILE)
-    gmm = storage.read_model(models_dir / GMM_FILE)
-    if not need_bank:
-        return ModelBundle(pca=pca, gmm=gmm, bank=None)
-    bank = storage.read_bank(models_dir / BANK_FILE)
-    return storage.make_bundle(pca, gmm, bank)
-
-
-# ------------------------------------------------------------ building
-
-def _check_models_match(cfg: RunConfig, bundle: ModelBundle):
-    """Reject models trained under a different configuration."""
-    if bundle.gmm.n_components != cfg.K:
-        raise ConfigError(f"config K={cfg.K} but the GMM has "
-                          f"{bundle.gmm.n_components} components")
-    if bundle.pca.d_out != cfg.d:
-        raise ConfigError(f"config d={cfg.d} but the PCA projects to {bundle.pca.d_out}")
+def _print_digests(bundle):
+    print(f"pca_sha256 = {hashlib.sha256(storage.model_to_bytes(bundle.pca)).hexdigest()}")
+    print(f"gmm_sha256 = {hashlib.sha256(storage.model_to_bytes(bundle.gmm)).hexdigest()}")
     if bundle.bank is not None:
-        want = dataclasses.replace(cfg.hash_config(), seed=bundle.bank.config.seed)
-        if bundle.bank.config != want:
-            raise ConfigError(f"hash bank {bundle.bank.config} does not match "
-                              f"the configured {want}")
+        print(f"bank_sha256 = {hashlib.sha256(storage.bank_to_bytes(bundle.bank)).hexdigest()}")
 
 
 def cmd_build(args, cfg: RunConfig) -> int:
     outdir = Path(args.output or "index")
     outdir.mkdir(parents=True, exist_ok=True)
     scenes, shots = storage.read_manifest(args.manifest)
+    fvstar = cfg.pipeline in (PIPELINE_SCENE_FV, PIPELINE_FRAME_FV)
+    bundle = pipeline.load_models(args.models, need_bank=not fvstar)
+    pipeline.check_models_match(cfg, bundle)
 
-    if cfg.pipeline in (PIPELINE_SCENE_FV, PIPELINE_FRAME_FV):
-        bundle = _load_bundle(args.models, need_bank=False)
-        _check_models_match(cfg, bundle)
-        builder = (baseline.build_scene_fv_star if cfg.pipeline == PIPELINE_SCENE_FV
-                   else baseline.build_frame_fv_star)
-        db = builder(scenes, bundle.pca, bundle.gmm, storage.frame_loader)
+    if fvstar:
+        db, shot_db = pipeline.build_fvstar(cfg.pipeline, scenes, shots, bundle)
         storage.write_fvstar(outdir / FVSTAR_FILE, db)
         print(f"entries = {db.n_entries}")
         print(f"skipped = {db.skipped}")
         print(f"database_bytes = {len(storage.fvstar_to_bytes(db))}")
-        if shots:
-            shot_db = baseline.build_shot_fv_star(shots, bundle.pca, bundle.gmm,
-                                                  storage.frame_loader)
+        if shot_db is not None:
             storage.write_fvstar(outdir / SHOTS_FILE, shot_db)
             print(f"shot_entries = {shot_db.n_entries}")
         return 0
 
-    bundle = _load_bundle(args.models)
-    _check_models_match(cfg, bundle)
-    build = build_bf_gd if cfg.pipeline == PIPELINE_BF_GD else build_bf_pi
-    index = build(scenes, bundle, cfg.filter_config(), storage.frame_loader)
+    index = pipeline.build_index(cfg.pipeline, scenes, bundle, cfg.filter_config())
     index_path = storage.write_index(outdir / INDEX_FILE, index)
     if args.filters:
         storage.write_filters(args.filters, materialize_filters(index),
@@ -367,11 +202,9 @@ def cmd_build(args, cfg: RunConfig) -> int:
     return 0
 
 
-# ------------------------------------------------------------ querying
-
 def cmd_query(args, cfg: RunConfig) -> int:
     index = storage.read_index(args.index)
-    bundle = _load_bundle(args.models)
+    bundle = pipeline.load_models(args.models)
     query = storage.read_descriptors(args.query)
     idf = compute_idf(index)
     top_k = cfg.top_k if cfg.top_k else index.n_scenes
@@ -385,21 +218,14 @@ def cmd_query(args, cfg: RunConfig) -> int:
     return 0
 
 
-# ------------------------------------------------------------ evaluation
-
-def _load_queries(path):
-    return [(qid, storage.read_descriptors(qpath, source_id=qid))
-            for qid, qpath in storage.read_queries(path)]
-
-
 def cmd_evaluate(args, cfg: RunConfig) -> int:
-    queries = _load_queries(args.queries)
+    queries = pipeline.load_queries(args.queries)
     truth = storage.read_ground_truth(args.truth)
     index_path = Path(args.index)
 
     if index_path.suffix == ".qivf" or cfg.pipeline in (PIPELINE_SCENE_FV,
                                                         PIPELINE_FRAME_FV):
-        bundle = _load_bundle(args.models, need_bank=False)
+        bundle = pipeline.load_models(args.models, need_bank=False)
         db = storage.read_fvstar(index_path)
         shot_db = None
         if args.rerank:
@@ -413,32 +239,16 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
         return _emit_report(args, report)
 
     index = storage.read_index(index_path)
-    bundle = _load_bundle(args.models)
-    scoring = cfg.scoring_config()
-    randomized = index.hash_config.family in RANDOMIZED_FAMILIES
-    n_trials = cfg.trials if randomized else 1
+    bundle = pipeline.load_models(args.models)
+    family = index.hash_config.family
+    n_trials = cfg.trials_for(family)
     if n_trials < cfg.trials:
-        print(f"note: {index.hash_config.family} is deterministic; running 1 trial",
-              file=sys.stderr)
+        print(f"note: {family} is deterministic; running 1 trial", file=sys.stderr)
     if n_trials > 1 and not args.manifest:
         raise ConfigError("--manifest is required when trials > 1 (per-trial rebuilds)")
-
-    reports = [evaluation.run_benchmark(index, bundle, scoring, queries, truth,
-                                        top_k=cfg.top_k, threads=args.threads,
-                                        end_to_end=args.end_to_end)]
-    if n_trials > 1:
-        scenes, _ = storage.read_manifest(args.manifest)
-        base_hcfg = index.hash_config
-        for t in range(1, n_trials):
-            hcfg = dataclasses.replace(base_hcfg, seed=base_hcfg.seed + t)
-            bank_t = sample_hash_bank(hcfg)
-            bundle_t = storage.make_bundle(bundle.pca, bundle.gmm, bank_t)
-            build = build_bf_gd if index.pipeline == PIPELINE_BF_GD else build_bf_pi
-            index_t = build(scenes, bundle_t, index.filter_config, storage.frame_loader)
-            reports.append(evaluation.run_benchmark(
-                index_t, bundle_t, scoring, queries, truth, top_k=cfg.top_k,
-                threads=args.threads, end_to_end=args.end_to_end))
-    report = evaluation.aggregate_trials(reports) if len(reports) > 1 else reports[0]
+    scenes = storage.read_manifest(args.manifest)[0] if n_trials > 1 else ()
+    report = pipeline.evaluate_index(cfg, index, bundle, queries, truth, n_trials, scenes,
+                                     threads=args.threads, end_to_end=args.end_to_end)
     return _emit_report(args, report)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +20,8 @@ import numpy as np
 from . import baseline, storage
 from .embedding import DescriptorSet
 from .errors import EmptyInputError, QivrError
-from .index import InvertedIndex, ModelBundle, ScoringConfig, score_query
+from .index import (InvertedIndex, ModelBundle, ScoringConfig, compute_idf,
+                    score_query)
 
 REPORT_KEYS = ("map", "map_stddev", "mean_latency_seconds", "index_bytes", "trials")
 
@@ -70,46 +72,21 @@ def run_benchmark(index: InvertedIndex, bundle: ModelBundle, scoring: ScoringCon
     in `ground_truth`. Queries may run on a thread pool; results merge in
     input order regardless of scheduling.
     """
-    queries = list(queries)
-    if not queries:
-        raise EmptyInputError("no queries to evaluate")
-    missing = [qid for qid, _ in queries if qid not in ground_truth]
-    if missing:
-        raise QivrError(f"queries missing from ground truth: {missing[:5]}")
     k = top_k if top_k else index.n_scenes
-    idf = _idf_view(index)
+    idf = compute_idf(index)
 
-    def one(item):
-        qid, dset = item
+    def one(dset):
         if end_to_end:
-            import time
             t0 = time.perf_counter()
             result = score_query(index, idf, scoring, dset, bundle, k)
             latency = time.perf_counter() - t0
         else:
             result = score_query(index, idf, scoring, dset, bundle, k)
             latency = result.latency_seconds
-        ap = average_precision((sid for sid, _ in result.ranking), ground_truth[qid])
-        return qid, ap, latency
+        return (sid for sid, _ in result.ranking), latency
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, queries))
-    else:
-        rows = [one(q) for q in queries]
-
-    per_query = tuple((qid, ap) for qid, ap, _ in rows)
-    return EvalReport(
-        map=mean_ap([ap for _, ap in per_query]),
-        per_query_ap=per_query,
-        mean_latency_seconds=float(np.mean([lat for _, _, lat in rows])),
-        index_bytes=len(storage.index_to_bytes(index)),
-    )
-
-
-def _idf_view(index: InvertedIndex):
-    from .index import compute_idf
-    return compute_idf(index)
+    return _run_queries(one, queries, ground_truth, threads,
+                        len(storage.index_to_bytes(index)))
 
 
 def run_fvstar_benchmark(db, bundle: ModelBundle, queries, ground_truth: dict,
@@ -121,17 +98,7 @@ def run_fvstar_benchmark(db, bundle: ModelBundle, queries, ground_truth: dict,
     shot database is supplied the scene shortlist is re-ranked by minimum
     shot distance.
     """
-    import time
-
-    queries = list(queries)
-    if not queries:
-        raise EmptyInputError("no queries to evaluate")
-    missing = [qid for qid, _ in queries if qid not in ground_truth]
-    if missing:
-        raise QivrError(f"queries missing from ground truth: {missing[:5]}")
-
-    def one(item):
-        qid, dset = item
+    def one(dset):
         words = baseline.encode_query(bundle.pca, bundle.gmm, dset)
         t0 = time.perf_counter()
         order, dists = baseline.hamming_rank(db, words)
@@ -143,21 +110,43 @@ def run_fvstar_benchmark(db, bundle: ModelBundle, queries, ground_truth: dict,
             scenes, _ = baseline.rerank_shortlist(scenes, shot_db, words, shortlist_size)
         if top_k:
             scenes = scenes[:top_k]
-        latency = time.perf_counter() - t0
-        return qid, average_precision(scenes, ground_truth[qid]), latency
+        return scenes, time.perf_counter() - t0
+
+    return _run_queries(one, queries, ground_truth, threads,
+                        len(storage.fvstar_to_bytes(db)))
+
+
+def _run_queries(one, queries, ground_truth: dict, threads: int,
+                 index_bytes: int) -> EvalReport:
+    """The query loop both benchmarks share.
+
+    `one(dset)` ranks one query and returns (scene ids in rank order, its
+    latency in seconds).
+    """
+    queries = list(queries)
+    if not queries:
+        raise EmptyInputError("no queries to evaluate")
+    missing = [qid for qid, _ in queries if qid not in ground_truth]
+    if missing:
+        raise QivrError(f"queries missing from ground truth: {missing[:5]}")
+
+    def score(item):
+        qid, dset = item
+        ranking, latency = one(dset)
+        return qid, average_precision(ranking, ground_truth[qid]), latency
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, queries))
+            rows = list(pool.map(score, queries))
     else:
-        rows = [one(q) for q in queries]
+        rows = [score(q) for q in queries]
 
     per_query = tuple((qid, ap) for qid, ap, _ in rows)
     return EvalReport(
         map=mean_ap([ap for _, ap in per_query]),
         per_query_ap=per_query,
         mean_latency_seconds=float(np.mean([lat for _, _, lat in rows])),
-        index_bytes=len(storage.fvstar_to_bytes(db)),
+        index_bytes=index_bytes,
     )
 
 

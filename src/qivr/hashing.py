@@ -48,6 +48,8 @@ class HashFamilyConfig:
             raise ConfigError("M must be >= 1")
         if not 1 <= self.n <= 24:
             raise ConfigError(f"n must be in [1, 24], got {self.n}")
+        if self.family == FAMILY_VQ and self.n > 16:
+            raise ConfigError(f"vq requires n <= 16, got {self.n}")
         if self.input_dim < 1:
             raise ConfigError("input_dim must be >= 1")
 

@@ -99,12 +99,6 @@ class InvertedIndex:
     def per_scene_setbits(self) -> np.ndarray:
         return np.bincount(self.ordinals, minlength=self.n_scenes)
 
-    def posting_list(self, bit: int) -> np.ndarray:
-        i = int(np.searchsorted(self.keys, bit))
-        if i < len(self.keys) and self.keys[i] == bit:
-            return self.ordinals[self.offsets[i]:self.offsets[i + 1]]
-        return np.empty(0, dtype=np.int32)
-
 
 @dataclass(frozen=True)
 class IdfWeights:
@@ -118,22 +112,31 @@ class IdfWeights:
         return 0.0
 
 
+def check_pipeline_hashing(pipeline: str, domain: str, M: int, K: int):
+    """Rules tying a Bloom-filter pipeline to its hash bank and GMM.
+
+    bf_pi hashes per-Gaussian residuals, so it needs the gbh domain, and
+    gbh hashes one chunk or residual pool per Gaussian, so M must equal K.
+    """
+    if pipeline == PIPELINE_BF_PI and domain != DOMAIN_GBH:
+        raise ConfigError("bf_pi requires domain = gbh")
+    if domain == DOMAIN_GBH and M != K:
+        raise ConfigError(f"gbh requires M = K, got M={M} K={K}")
+
+
 def _validate_build(pipeline: str, bundle: ModelBundle, fcfg: FilterConfig):
     hcfg = bundle.bank.config
     gmm = bundle.gmm
     if pipeline not in PIPELINES:
         raise ConfigError(f"unknown pipeline {pipeline!r}")
+    check_pipeline_hashing(pipeline, hcfg.domain, hcfg.M, gmm.n_components)
     if fcfg.M != hcfg.M:
         raise ConfigError(f"filter M={fcfg.M} != bank M={hcfg.M}")
     if fcfg.partitioned and fcfg.L_p < hcfg.n_buckets:
         raise ConfigError(f"L_p={fcfg.L_p} cannot hold {hcfg.n_buckets} buckets")
     if not fcfg.partitioned and fcfg.L_np < hcfg.n_buckets:
         raise ConfigError(f"L_np={fcfg.L_np} cannot hold {hcfg.n_buckets} buckets")
-    if pipeline == PIPELINE_BF_PI and hcfg.domain != DOMAIN_GBH:
-        raise ConfigError("the point-indexed pipeline requires the gbh domain")
     if hcfg.domain == DOMAIN_GBH:
-        if hcfg.M != gmm.n_components:
-            raise ConfigError(f"gbh needs M == K, got M={hcfg.M}, K={gmm.n_components}")
         if hcfg.input_dim != gmm.dim:
             raise ConfigError(f"gbh input_dim {hcfg.input_dim} != descriptor dim {gmm.dim}")
     else:

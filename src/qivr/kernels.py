@@ -1,40 +1,21 @@
-"""Hot inner loops, compiled with numba when available.
+"""Hot inner loops, one numpy implementation each.
 
-Every kernel exists twice: a ``*_numpy`` reference implementation and a
-``*_numba`` jitted one. The public names are bound once at import time;
-set ``QIVR_NO_NUMBA=1`` to force the numpy path (the benchmark in
-``benchmarks/bench_kernels.py`` imports both variants directly).
-
-Both backends are deterministic run-to-run; they are not guaranteed to be
-bit-identical to each other.
-
-The numpy kernels are the path that runs when numba is absent, and the
-acceptance suite's time bounds hold on them. ``assign_nearest_numpy`` finds
-candidates with the expanded form |c|^2 - 2 x.c (one matmul per block),
-decides near ties again in the subtract-square form, and recomputes each
-winner's distance in that form; its labels and distances equal the
-subtract-square reference exactly, ties going to the lowest index.
-``accumulate_postings_numpy`` is one gather of every hit posting list and
-one ``np.bincount`` pass; since bincount adds in input order and scores
-start at zero, its scores equal the per-probe loop exactly.
+Every kernel is deterministic run to run, and the acceptance suite's time
+bounds hold on them. ``assign_nearest`` finds candidates with the expanded
+form |c|^2 - 2 x.c (one matmul per block), decides near ties again in the
+subtract-square form, and recomputes each winner's distance in that form;
+its labels and distances equal the subtract-square reference exactly, ties
+going to the lowest index. ``accumulate_postings`` is one gather of every
+hit posting list and one ``np.bincount`` pass; since bincount adds in input
+order and scores start at zero, its scores equal the per-probe loop exactly.
+``benchmarks/bench_kernels.py`` times each kernel.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    NUMBA_AVAILABLE = False
-
-_FORCE_NUMPY = os.environ.get("QIVR_NO_NUMBA", "") not in ("", "0")
 
 _ASSIGN_CHUNK = 256  # rows per matmul block in the nearest-centroid candidate pass
 _EXACT_CHUNK = 64  # rows per (rows, centroids, dim) subtract-square block
@@ -44,7 +25,7 @@ _EXACT_MAX_PAIRS = 1024  # up to this many point-centroid pairs, skip the candid
 # ---------------------------------------------------------------------------
 # diagonal-Gaussian log densities
 
-def gauss_logprob_numpy(x, means, variances):
+def gauss_logprob(x, means, variances):
     """Log N(x; mu_k, diag(var_k)) for every row of x and every component k.
 
     Returns an (N, K) float64 matrix. Computed with the subtract-square form
@@ -59,32 +40,6 @@ def gauss_logprob_numpy(x, means, variances):
         out[:, k] = log_consts[k] - 0.5 * quad
     return out
 
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True, nogil=True)
-    def gauss_logprob_numba(x, means, variances):
-        n, d = x.shape
-        n_comp = means.shape[0]
-        log2pi = math.log(2.0 * math.pi)
-        log_consts = np.empty(n_comp)
-        for k in range(n_comp):
-            s = 0.0
-            for j in range(d):
-                s += math.log(variances[k, j])
-            log_consts[k] = -0.5 * (d * log2pi + s)
-        out = np.empty((n, n_comp))
-        for i in range(n):
-            for k in range(n_comp):
-                quad = 0.0
-                for j in range(d):
-                    diff = x[i, j] - means[k, j]
-                    quad += diff * diff / variances[k, j]
-                out[i, k] = log_consts[k] - 0.5 * quad
-        return out
-
-else:  # pragma: no cover
-    gauss_logprob_numba = None
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +59,7 @@ def _assign_exact(points, centroids):
     return labels, best
 
 
-def assign_nearest_numpy(points, centroids):
+def assign_nearest(points, centroids):
     """Index of the closest centroid per point, ties toward the lowest index.
 
     Returns (labels int64, squared distance float64), both equal bit for bit
@@ -156,72 +111,21 @@ def assign_nearest_numpy(points, centroids):
     return labels, best
 
 
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True, nogil=True)
-    def assign_nearest_numba(points, centroids):
-        n, d = points.shape
-        n_cent = centroids.shape[0]
-        labels = np.empty(n, dtype=np.int64)
-        best = np.empty(n)
-        for i in range(n):
-            best_d = np.inf
-            best_k = 0
-            for k in range(n_cent):
-                dist = 0.0
-                for j in range(d):
-                    diff = points[i, j] - centroids[k, j]
-                    dist += diff * diff
-                if dist < best_d:
-                    best_d = dist
-                    best_k = k
-            labels[i] = best_k
-            best[i] = best_d
-        return labels, best
-
-else:  # pragma: no cover
-    assign_nearest_numba = None
-
 
 # ---------------------------------------------------------------------------
 # Hamming distance scans over packed uint64 words
 
-def hamming_distances_numpy(db_words, query_words):
+def hamming_distances(db_words, query_words):
     """Hamming distance from one packed query row to every packed db row."""
     xor = np.bitwise_xor(db_words, query_words[None, :])
     return np.sum(np.bitwise_count(xor), axis=1).astype(np.int64)
 
 
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True, nogil=True)
-    def _popcount64(v):
-        # SWAR popcount; numba has no np.bitwise_count
-        v = v - ((v >> np.uint64(1)) & np.uint64(0x5555555555555555))
-        v = (v & np.uint64(0x3333333333333333)) + \
-            ((v >> np.uint64(2)) & np.uint64(0x3333333333333333))
-        v = (v + (v >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-        return (v * np.uint64(0x0101010101010101)) >> np.uint64(56)
-
-    @njit(cache=True, nogil=True)
-    def hamming_distances_numba(db_words, query_words):
-        n, w = db_words.shape
-        out = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            total = np.uint64(0)
-            for j in range(w):
-                total += _popcount64(db_words[i, j] ^ query_words[j])
-            out[i] = total
-        return out
-
-else:  # pragma: no cover
-    hamming_distances_numba = None
-
 
 # ---------------------------------------------------------------------------
 # posting-list accumulation (inverted-index scoring)
 
-def accumulate_postings_numpy(key_idx, weights, offsets, ordinals, scores):
+def accumulate_postings(key_idx, weights, offsets, ordinals, scores):
     """Add weights[p] to scores[v] for every scene v in probe p's posting list.
 
     key_idx holds the resolved posting-list index per probe, -1 for probes
@@ -242,38 +146,3 @@ def accumulate_postings_numpy(key_idx, weights, offsets, ordinals, scores):
                           minlength=len(scores))
 
 
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True, nogil=True)
-    def accumulate_postings_numba(key_idx, weights, offsets, ordinals, scores):
-        for p in range(key_idx.shape[0]):
-            k = key_idx[p]
-            if k < 0:
-                continue
-            w = weights[p]
-            for s in range(offsets[k], offsets[k + 1]):
-                scores[ordinals[s]] += w
-
-else:  # pragma: no cover
-    accumulate_postings_numba = None
-
-
-# ---------------------------------------------------------------------------
-# backend dispatch
-
-if NUMBA_AVAILABLE and not _FORCE_NUMPY:
-    BACKEND = "numba"
-    gauss_logprob = gauss_logprob_numba
-    assign_nearest = assign_nearest_numba
-    hamming_distances = hamming_distances_numba
-    accumulate_postings = accumulate_postings_numba
-else:
-    BACKEND = "numpy"
-    gauss_logprob = gauss_logprob_numpy
-    assign_nearest = assign_nearest_numpy
-    hamming_distances = hamming_distances_numpy
-    accumulate_postings = accumulate_postings_numpy
-
-
-def backend_name() -> str:
-    return BACKEND

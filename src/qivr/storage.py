@@ -113,7 +113,10 @@ def descriptors_from_bytes(buf: bytes, source_id: str) -> DescriptorSet:
     count, dim = r.take("<QI")
     vectors = r.array("<f4", count * dim).astype(np.float64).reshape(count, dim)
     r.finish()
-    return DescriptorSet(source_id, vectors)
+    try:
+        return DescriptorSet(source_id, vectors)
+    except ValueError as exc:  # NaN or infinite values
+        raise FormatError(f"descriptor file: {exc}") from exc
 
 
 # ---------------------------------------------------------------- QIVM

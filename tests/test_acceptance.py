@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from qivr import cli, storage
+from qivr import storage
 from qivr.baseline import (FvStarDatabase, binarize_fv, hamming_rank,
                            rerank_shortlist)
 from qivr.bloom import FilterConfig, SceneFilter, bit_budget
@@ -23,6 +23,7 @@ from qivr.hashing import HashFamilyConfig, sample_hash_bank, train_vq_bank
 from qivr.index import (IdfWeights, ModelBundle, SceneRecord, ScoringConfig,
                         build_bf_gd, build_bf_pi, compute_idf,
                         materialize_filters, query_bits, score_query)
+from qivr.pipeline import RunConfig, vq_pools
 
 
 def test_c01_no_false_negatives():
@@ -80,10 +81,10 @@ def test_c02_inverted_index_matches_dense_scan(tmp_path):
     for pipeline in ("bf_gd", "bf_pi"):
         build = build_bf_gd if pipeline == "bf_gd" else build_bf_pi
         for family in ("lsh_c", "lsh_s", "lsh_b", "vq"):
-            cfg = cli.RunConfig(pipeline=pipeline, family=family, domain="gbh",
-                                M=4, n=6, K=4, d=4)
+            cfg = RunConfig(pipeline=pipeline, family=family, domain="gbh",
+                            M=4, n=6, K=4, d=4)
             if family == "vq":
-                bank = train_vq_bank(cli._vq_pools(cfg, corpus, pca, gmm),
+                bank = train_vq_bank(vq_pools(cfg, corpus, pca, gmm),
                                      cfg.hash_config())
             else:
                 bank = sample_hash_bank(cfg.hash_config())
@@ -190,9 +191,9 @@ def test_c07_planted_retrieval_benchmark(tmp_path):
 
     maps = {}
     for pipeline, build in (("bf_gd", build_bf_gd), ("bf_pi", build_bf_pi)):
-        cfg = cli.RunConfig(pipeline=pipeline, family="vq", domain="gbh",
-                            M=16, n=10, K=16, d=8, scoring="tfidf", alpha=0.5)
-        bank = train_vq_bank(cli._vq_pools(cfg, corpus, pca, gmm),
+        cfg = RunConfig(pipeline=pipeline, family="vq", domain="gbh",
+                        M=16, n=10, K=16, d=8, scoring="tfidf", alpha=0.5)
+        bank = train_vq_bank(vq_pools(cfg, corpus, pca, gmm),
                              cfg.hash_config())
         bundle = storage.make_bundle(pca, gmm, bank)
         index = build(scenes, bundle, cfg.filter_config(), storage.frame_loader)

@@ -1,14 +1,20 @@
 import contextlib
 import functools
+import inspect
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from qivr import cli, storage
-from qivr.embedding import fit_gmm
-from qivr.index import ScoringConfig, compute_idf, score_query
+from qivr import cli, embedding, pipeline, storage
+from qivr.bloom import FilterConfig
+from qivr.embedding import DescriptorSet, fit_gmm
+from qivr.errors import ConfigError
+from qivr.hashing import HashFamilyConfig, sample_hash_bank
+from qivr.index import (ScoringConfig, build_bf_gd, build_bf_pi, compute_idf,
+                        score_query)
 
 CONFIG = """\
 # desk-scale settings for the test corpus
@@ -137,7 +143,7 @@ def test_query_matches_library_scoring(ws):
     assert [int(r[0]) for r in rows] == list(range(1, 7))
 
     index = storage.read_index(ws.index_file)
-    bundle = cli._load_bundle(ws.models)
+    bundle = pipeline.load_models(ws.models)
     result = score_query(index, compute_idf(index), ScoringConfig("tfidf", 0.5),
                          storage.read_descriptors(qpath, source_id=qid),
                          bundle, index.n_scenes)
@@ -244,15 +250,48 @@ def test_unknown_config_key_exits_two(ws, tmp_path):
     assert "piepline" in err
 
 
-def test_invalid_combination_exits_two(ws):
-    code, _, err = run(["build", str(ws.manifest), "--models", str(ws.models),
-                        "--config", str(ws.cfg), "--pipeline", "bf_pi",
-                        "--domain", "vbh"])
-    assert code == 2
+def _with_bank(ws, hcfg):
+    """The workspace's PCA and GMM (K=4, d=3) with a bank sampled from hcfg."""
+    trained = pipeline.load_models(ws.models)
+    return storage.make_bundle(trained.pca, trained.gmm, sample_hash_bank(hcfg))
 
-    code, _, err = run(["build", str(ws.manifest), "--models", str(ws.models),
-                        "--config", str(ws.cfg), "--M", "5"])
-    assert code == 2  # descriptor-domain hashing requires M == K
+
+def test_invalid_combination_exits_two(ws):
+    # each rule is stated once; the CLI meets it through RunConfig, and the
+    # library through RunConfig and the call that relies on it
+    scenes, _ = storage.read_manifest(ws.manifest)
+    rules = {
+        "vq requires n <= 16": (
+            ["--family", "vq", "--n", "17"], dict(family="vq", n=17, M=4, K=4),
+            lambda: HashFamilyConfig("vq", "gbh", M=4, n=17, input_dim=3, seed=0)),
+        "bf_pi requires domain = gbh": (
+            ["--pipeline", "bf_pi", "--domain", "vbh"],
+            dict(pipeline="bf_pi", domain="vbh", M=4, K=4),
+            lambda: build_bf_pi(
+                scenes, _with_bank(ws, HashFamilyConfig("lsh_c", "vbh", 4, 6, 12, 1)),
+                FilterConfig(True, 4, L_p=64), storage.frame_loader)),
+        "gbh requires M = K": (
+            ["--M", "5"], dict(M=5, K=4),
+            lambda: build_bf_gd(
+                scenes, _with_bank(ws, HashFamilyConfig("lsh_c", "gbh", 5, 6, 3, 1)),
+                FilterConfig(True, 5, L_p=64), storage.frame_loader)),
+    }
+    for message, (flags, settings, library_call) in rules.items():
+        code, _, err = run(["build", str(ws.manifest), "--models", str(ws.models),
+                            "--config", str(ws.cfg), *flags])
+        assert code == 2 and message in err, err
+        with pytest.raises(ConfigError, match=message):
+            pipeline.RunConfig(**settings)
+        with pytest.raises(ConfigError, match=message):
+            library_call()
+
+
+def test_pipeline_calls_other_layers_through_their_modules():
+    # a qivr function imported by name would escape wrappers put on its module
+    borrowed = [name for name, obj in vars(pipeline).items()
+                if inspect.isfunction(obj) and obj.__module__.startswith("qivr.")
+                and obj.__module__ != pipeline.__name__]
+    assert borrowed == []
 
 
 def test_mismatched_models_exit_two(ws):
@@ -272,13 +311,26 @@ def test_train_warns_when_em_stops_at_its_cap(ws, tmp_path, monkeypatch):
     # the test world converges under the default cap, so nothing is printed
     code, _, err = run(ws.args("train", str(ws.manifest), "--output", str(tmp_path / "a")))
     assert code == 0 and "EM" not in err
-    monkeypatch.setattr(cli, "fit_gmm", functools.partial(fit_gmm, max_iters=2))
+    # patched on its module, where tracers wrap it too: the pipeline must look
+    # fit_gmm up there for the capped fit, and so the warning, to happen
+    monkeypatch.setattr(embedding, "fit_gmm", functools.partial(fit_gmm, max_iters=2))
     code, out, err = run(ws.args("train", str(ws.manifest), "--output", str(tmp_path / "b")))
     assert code == 0
     assert err.count("warning: EM stopped at its cap of 2 iterations") == 1
     # the benchmark reads "fallback" as a VQ failure; an EM cap is not one
     assert "fallback" not in err.lower()
     assert set(lines_to_dict(out)) == {"pca_sha256", "gmm_sha256", "bank_sha256"}
+
+
+def test_query_non_finite_descriptors_exits_one(ws, tmp_path):
+    blob = bytearray(storage.descriptors_to_bytes(DescriptorSet("q", np.ones((2, 4)))))
+    blob[-4:] = struct.pack("<f", float("nan"))
+    bad = tmp_path / "nan.qivd"
+    bad.write_bytes(bytes(blob))
+    code, _, err = run(ws.args("query", str(ws.index_file), str(bad),
+                               "--models", str(ws.models)))
+    assert code == 1
+    assert err.startswith("error: ")
 
 
 def test_evaluate_corrupt_index_exits_one(ws, tmp_path):

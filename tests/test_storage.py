@@ -250,6 +250,14 @@ def test_unsupported_version_rejected():
         storage.descriptors_from_bytes(bytes(blob), "x")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_descriptors_rejected(bad):
+    blob = bytearray(storage.descriptors_to_bytes(DescriptorSet("x", np.ones((2, 3)))))
+    blob[-4:] = struct.pack("<f", bad)  # the last float of the payload
+    with pytest.raises(FormatError):
+        storage.descriptors_from_bytes(bytes(blob), "x")
+
+
 def test_negative_seed_rejected():
     cfg = HashFamilyConfig("lsh_c", "gbh", M=3, n=4, input_dim=4, seed=7)
     bank = sample_hash_bank(cfg)
