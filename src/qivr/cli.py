@@ -70,7 +70,6 @@ def resolve_config(args) -> RunConfig:
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", metavar="PATH", help="key = value settings file")
     p.add_argument("--seed", type=int, help="base random seed")
-    p.add_argument("--threads", type=int, default=1, metavar="N")
     p.add_argument("--output", metavar="PATH", help="output directory or file")
 
 
@@ -235,7 +234,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
             shot_db = storage.read_fvstar(shots_path)
         report = evaluation.run_fvstar_benchmark(
             db, bundle, queries, truth, top_k=cfg.top_k, shot_db=shot_db,
-            shortlist_size=cfg.shortlist_size, threads=args.threads)
+            shortlist_size=cfg.shortlist_size)
         return _emit_report(args, report)
 
     index = storage.read_index(index_path)
@@ -248,7 +247,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
         raise ConfigError("--manifest is required when trials > 1 (per-trial rebuilds)")
     scenes = storage.read_manifest(args.manifest)[0] if n_trials > 1 else ()
     report = pipeline.evaluate_index(cfg, index, bundle, queries, truth, n_trials, scenes,
-                                     threads=args.threads, end_to_end=args.end_to_end)
+                                     end_to_end=args.end_to_end)
     return _emit_report(args, report)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,13 +63,12 @@ def mean_ap(aps) -> float:
 
 
 def run_benchmark(index: InvertedIndex, bundle: ModelBundle, scoring: ScoringConfig,
-                  queries, ground_truth: dict, top_k: int = 0, threads: int = 1,
+                  queries, ground_truth: dict, top_k: int = 0,
                   end_to_end: bool = False) -> EvalReport:
     """Score every query against the index and aggregate mAP and latency.
 
     `queries` holds (query_id, DescriptorSet) pairs; every id must appear
-    in `ground_truth`. Queries may run on a thread pool; results merge in
-    input order regardless of scheduling.
+    in `ground_truth`. Queries run one at a time, in input order.
     """
     k = top_k if top_k else index.n_scenes
     idf = compute_idf(index)
@@ -85,13 +83,12 @@ def run_benchmark(index: InvertedIndex, bundle: ModelBundle, scoring: ScoringCon
             latency = result.latency_seconds
         return (sid for sid, _ in result.ranking), latency
 
-    return _run_queries(one, queries, ground_truth, threads,
-                        len(storage.index_to_bytes(index)))
+    return _run_queries(one, queries, ground_truth, len(storage.index_to_bytes(index)))
 
 
 def run_fvstar_benchmark(db, bundle: ModelBundle, queries, ground_truth: dict,
-                         top_k: int = 0, shot_db=None, shortlist_size: int = 100,
-                         threads: int = 1) -> EvalReport:
+                         top_k: int = 0, shot_db=None,
+                         shortlist_size: int = 100) -> EvalReport:
     """Exhaustive-scan benchmark over a binarized-FV database.
 
     Frame-granularity rankings collapse to scenes by closest frame; when a
@@ -112,12 +109,10 @@ def run_fvstar_benchmark(db, bundle: ModelBundle, queries, ground_truth: dict,
             scenes = scenes[:top_k]
         return scenes, time.perf_counter() - t0
 
-    return _run_queries(one, queries, ground_truth, threads,
-                        len(storage.fvstar_to_bytes(db)))
+    return _run_queries(one, queries, ground_truth, len(storage.fvstar_to_bytes(db)))
 
 
-def _run_queries(one, queries, ground_truth: dict, threads: int,
-                 index_bytes: int) -> EvalReport:
+def _run_queries(one, queries, ground_truth: dict, index_bytes: int) -> EvalReport:
     """The query loop both benchmarks share.
 
     `one(dset)` ranks one query and returns (scene ids in rank order, its
@@ -130,17 +125,10 @@ def _run_queries(one, queries, ground_truth: dict, threads: int,
     if missing:
         raise QivrError(f"queries missing from ground truth: {missing[:5]}")
 
-    def score(item):
-        qid, dset = item
+    rows = []
+    for qid, dset in queries:
         ranking, latency = one(dset)
-        return qid, average_precision(ranking, ground_truth[qid]), latency
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(score, queries))
-    else:
-        rows = [score(q) for q in queries]
-
+        rows.append((qid, average_precision(ranking, ground_truth[qid]), latency))
     per_query = tuple((qid, ap) for qid, ap, _ in rows)
     return EvalReport(
         map=mean_ap([ap for _, ap in per_query]),

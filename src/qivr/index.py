@@ -6,6 +6,11 @@ non-partitioned ones to the bucket itself. Postings are sealed into CSR
 arrays (sorted unique bit keys, offsets, scene ordinals) and every query
 probe resolves to a key by binary search.
 
+A frame or query is embedded into (hash id, row) pairs: its Fisher vector
+or chunks under bf_gd, its descriptors' residuals under bf_pi. A build
+collects the pairs of every frame and hashes them in one `hashing.buckets`
+call; a query's pairs go through the same function.
+
 Scoring follows the two per-probe update rules: hash-match counting
 (+1 whenever the probed bit is set for a scene) and TF-IDF
 (+w^2 / (sum of w^2 over the scene's set bits)^alpha).
@@ -18,12 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
+from . import hashing, kernels
 from .bloom import FilterConfig, SceneFilter
 from .embedding import (DescriptorSet, DiagonalGmm, PcaModel, apply_pca,
                         compute_fv, point_index_batch)
-from .errors import (BucketRangeError, ConfigError, EmptyInputError,
-                     FingerprintMismatch)
+from .errors import ConfigError, EmptyInputError, FingerprintMismatch
 from .hashing import DOMAIN_GBH, DOMAIN_VBH, HashBank, gbh_chunks
 
 PIPELINE_BF_GD = "bf_gd"
@@ -147,43 +151,28 @@ def _validate_build(pipeline: str, bundle: ModelBundle, fcfg: FilterConfig):
         raise ConfigError(f"PCA output dim {bundle.pca.d_out} != GMM dim {gmm.dim}")
 
 
-def _embed_frame(pipeline: str, bundle: ModelBundle, projected: DescriptorSet):
-    """Embedding stage shared by indexing and querying (PCA already applied)."""
-    if pipeline == PIPELINE_BF_GD:
-        return compute_fv(bundle.gmm, projected, normalize=True)
-    comp, _, residuals = point_index_batch(bundle.gmm, projected.vectors)
-    return comp, residuals
+def _hash_inputs(pipeline: str, bundle: ModelBundle, projected: DescriptorSet):
+    """(hash ids, rows) that one frame or query probes, PCA already applied.
 
-
-def _probe_pairs(pipeline: str, bundle: ModelBundle, emb):
-    """(hash id, bucket) per probe for one embedded frame or query."""
+    bf_gd hashes the frame's normalized Fisher vector under every hash: the
+    whole vector (vbh) or chunk m under hash m (gbh). bf_pi hashes each
+    descriptor's whitened residual under the hash of its dominant Gaussian.
+    """
+    if pipeline == PIPELINE_BF_PI:
+        comp, _, residuals = point_index_batch(bundle.gmm, projected.vectors)
+        return comp.astype(np.int64), residuals
     hcfg = bundle.bank.config
-    hashes = bundle.bank.hashes
-    if pipeline == PIPELINE_BF_GD:
-        gmm = bundle.gmm
-        if hcfg.domain == DOMAIN_VBH:
-            buckets = [h.bucket(emb.values) for h in hashes]
-        else:
-            chunks = gbh_chunks(emb.values, gmm.n_components, gmm.dim)
-            buckets = [hashes[m].bucket(chunks[m]) for m in range(hcfg.M)]
-        return np.arange(hcfg.M, dtype=np.int64), np.asarray(buckets, dtype=np.int64)
-    comp, residuals = emb
-    buckets = np.empty(len(comp), dtype=np.int64)
-    for r in np.unique(comp):
-        rows = comp == r
-        buckets[rows] = hashes[r].bucket_many(residuals[rows])
-    return comp.astype(np.int64), buckets
+    fv = compute_fv(bundle.gmm, projected, normalize=True).values
+    hash_ids = np.arange(hcfg.M, dtype=np.int64)
+    if hcfg.domain == DOMAIN_VBH:
+        return hash_ids, np.broadcast_to(fv, (hcfg.M, fv.size))
+    return hash_ids, gbh_chunks(fv, bundle.gmm.n_components, bundle.gmm.dim)
 
 
-def _flat_bits(fcfg: FilterConfig, parts: np.ndarray, buckets: np.ndarray) -> np.ndarray:
+def _flat_bits(fcfg: FilterConfig, hash_ids: np.ndarray, buckets: np.ndarray) -> np.ndarray:
     if fcfg.partitioned:
-        return parts * fcfg.L_p + buckets
+        return hash_ids * fcfg.L_p + buckets
     return buckets
-
-
-def _hash_embedding(pipeline: str, bundle: ModelBundle, fcfg: FilterConfig, emb) -> np.ndarray:
-    """Hash an embedded frame/query into flat bit indices (one per probe)."""
-    return _flat_bits(fcfg, *_probe_pairs(pipeline, bundle, emb))
 
 
 def _build(pipeline: str, scenes, bundle: ModelBundle, fcfg: FilterConfig, loader):
@@ -195,8 +184,9 @@ def _build(pipeline: str, scenes, bundle: ModelBundle, fcfg: FilterConfig, loade
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate scene ids in manifest")
 
-    parts = [np.empty(0, dtype=np.int64)]
-    buckets = [np.empty(0, dtype=np.int64)]
+    # every frame's (hash id, row) pairs, hashed below in one call
+    hash_ids = [np.empty(0, dtype=np.int64)]
+    rows = [np.empty((0, bundle.bank.config.input_dim))]
     probes_per_scene = np.zeros(len(scenes), dtype=np.int64)
     n_frames = 0
     n_descriptors = 0
@@ -209,19 +199,16 @@ def _build(pipeline: str, scenes, bundle: ModelBundle, fcfg: FilterConfig, loade
                 continue
             n_frames += 1
             n_descriptors += dset.n
-            projected = apply_pca(bundle.pca, dset)
-            frame_parts, frame_buckets = _probe_pairs(
-                pipeline, bundle, _embed_frame(pipeline, bundle, projected))
-            parts.append(frame_parts)
-            buckets.append(frame_buckets)
-            probes_per_scene[ordinal] += len(frame_buckets)
+            frame_ids, frame_rows = _hash_inputs(pipeline, bundle,
+                                                 apply_pca(bundle.pca, dset))
+            hash_ids.append(frame_ids)
+            rows.append(frame_rows)
+            probes_per_scene[ordinal] += len(frame_ids)
 
-    buckets = np.concatenate(buckets)
-    limit = fcfg.L_p if fcfg.partitioned else fcfg.L_np
-    if buckets.size and (buckets.min() < 0 or buckets.max() >= limit):
-        bad = buckets[(buckets < 0) | (buckets >= limit)][0]
-        raise BucketRangeError(f"bucket {bad} outside the filter's {limit} buckets")
-    bits = _flat_bits(fcfg, np.concatenate(parts), buckets)
+    hash_ids = np.concatenate(hash_ids)
+    # buckets lie below 2^n, which _validate_build checked the filter holds
+    buckets = hashing.buckets(bundle.bank, np.concatenate(rows), hash_ids)
+    bits = _flat_bits(fcfg, hash_ids, buckets)
     owners = np.repeat(np.arange(len(scenes), dtype=np.int64), probes_per_scene)
 
     # one sorted pass over (bit, scene) pairs gives the CSR postings directly
@@ -288,11 +275,16 @@ def rank_ties(scores: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(len(scores)), -scores))
 
 
+def _probe_bits(index: InvertedIndex, bundle: ModelBundle, hash_ids, rows) -> np.ndarray:
+    """Flat bit indices probed by the (hash id, row) pairs of one query."""
+    return _flat_bits(index.filter_config, hash_ids,
+                      hashing.buckets(bundle.bank, rows, hash_ids))
+
+
 def query_bits(index: InvertedIndex, bundle: ModelBundle, query: DescriptorSet) -> np.ndarray:
     """Flat bit indices probed by a query (embeds, then hashes)."""
     projected = apply_pca(bundle.pca, query)
-    emb = _embed_frame(index.pipeline, bundle, projected)
-    return _hash_embedding(index.pipeline, bundle, index.filter_config, emb)
+    return _probe_bits(index, bundle, *_hash_inputs(index.pipeline, bundle, projected))
 
 
 def score_query(index: InvertedIndex, idf: IdfWeights, scoring: ScoringConfig,
@@ -307,10 +299,10 @@ def score_query(index: InvertedIndex, idf: IdfWeights, scoring: ScoringConfig,
     if bundle.digests != index.fingerprints:
         raise FingerprintMismatch("query-time models do not match the index fingerprints")
     projected = apply_pca(bundle.pca, query)
-    emb = _embed_frame(index.pipeline, bundle, projected)
+    hash_ids, rows = _hash_inputs(index.pipeline, bundle, projected)
 
     t0 = time.perf_counter()
-    probes = _hash_embedding(index.pipeline, bundle, index.filter_config, emb)
+    probes = _probe_bits(index, bundle, hash_ids, rows)
     scores = _score_probes(index, idf, scoring, probes)
     order = rank_ties(scores)[:top_k]
     latency = time.perf_counter() - t0

@@ -114,22 +114,22 @@ def load_training(manifest_path) -> list:
     return corpus
 
 
-def vq_pools(cfg: RunConfig, corpus, pca, gmm):
-    """Training pools for VQ centroids, matching what the pipeline hashes."""
+def vq_pools(cfg: RunConfig, projected, gmm):
+    """Training pools for VQ centroids, matching what the pipeline hashes,
+    from the training frames with PCA already applied."""
     if cfg.domain == hashing.DOMAIN_VBH:
         fvs = []
-        for dset in corpus:
-            fv = embedding.compute_fv(gmm, embedding.apply_pca(pca, dset), normalize=True)
-            fvs.append(fv.values)
+        for dset in projected:
+            fvs.append(embedding.compute_fv(gmm, dset, normalize=True).values)
         return np.asarray(fvs)
     if cfg.pipeline == index.PIPELINE_BF_PI:
-        projected = np.vstack([embedding.apply_pca(pca, d).vectors for d in corpus])
-        comp, _, residuals = embedding.point_index_batch(gmm, projected)
+        comp, _, residuals = embedding.point_index_batch(
+            gmm, np.vstack([dset.vectors for dset in projected]))
         return [residuals[comp == r] for r in range(cfg.K)]
     # bf_gd over per-Gaussian FV chunks
     chunks = [[] for _ in range(cfg.K)]
-    for dset in corpus:
-        fv = embedding.compute_fv(gmm, embedding.apply_pca(pca, dset), normalize=True)
+    for dset in projected:
+        fv = embedding.compute_fv(gmm, dset, normalize=True)
         for k, chunk in enumerate(fv.values.reshape(cfg.K, cfg.d)):
             chunks[k].append(chunk)
     return [np.asarray(c) for c in chunks]
@@ -152,7 +152,7 @@ def train(cfg: RunConfig, manifest_path) -> index.ModelBundle:
     if cfg.pipeline in index.PIPELINES:
         hcfg = cfg.hash_config()
         if cfg.family == hashing.FAMILY_VQ:
-            bank = hashing.train_vq_bank(vq_pools(cfg, corpus, pca, gmm), hcfg)
+            bank = hashing.train_vq_bank(vq_pools(cfg, projected, gmm), hcfg)
         else:
             bank = hashing.sample_hash_bank(hcfg)
     return index.ModelBundle(pca=pca, gmm=gmm, bank=bank)
@@ -227,7 +227,7 @@ def load_queries(path) -> list:
 
 def evaluate_index(cfg: RunConfig, inverted: index.InvertedIndex, bundle: index.ModelBundle,
                    queries, truth: dict, n_trials: int = 1, scenes=(),
-                   threads: int = 1, end_to_end: bool = False) -> evaluation.EvalReport:
+                   end_to_end: bool = False) -> evaluation.EvalReport:
     """Benchmark an index over `n_trials` trials.
 
     Trial 0 is `inverted` itself. Trial t rebuilds it from `scenes` with a bank
@@ -238,8 +238,7 @@ def evaluate_index(cfg: RunConfig, inverted: index.InvertedIndex, bundle: index.
 
     def bench(trial_index, trial_bundle):
         return evaluation.run_benchmark(trial_index, trial_bundle, scoring, queries, truth,
-                                        top_k=cfg.top_k, threads=threads,
-                                        end_to_end=end_to_end)
+                                        top_k=cfg.top_k, end_to_end=end_to_end)
 
     reports = [bench(inverted, bundle)]
     base = inverted.hash_config

@@ -12,6 +12,7 @@ QIVB filter sets, QIVI inverted indexes, QIVF binarized-FV databases.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from pathlib import Path
 
@@ -22,9 +23,7 @@ from .baseline import GRANULARITIES, FvStarDatabase, ShotRecord
 from .bloom import FilterConfig, SceneFilter
 from .embedding import DescriptorSet, DiagonalGmm, PcaModel
 from .errors import ConfigError, FormatError
-from .hashing import (FAMILIES, DOMAINS, FAMILY_LSH_B, FAMILY_VQ,
-                      BitSampleHash, HashBank, HashFamilyConfig, PlaneHash,
-                      VqHash)
+from .hashing import FAMILIES, DOMAINS, FAMILY_LSH_B, HashBank, HashFamilyConfig
 from .index import InvertedIndex, ModelBundle
 
 VERSION = 1
@@ -66,6 +65,32 @@ class _Reader:
     def array(self, dtype: str, count: int) -> np.ndarray:
         dt = np.dtype(dtype)
         out = np.frombuffer(self.raw(dt.itemsize * count), dtype=dt)
+        return out
+
+    def floats(self, shape, positive: bool = False) -> np.ndarray:
+        """f32 values as a float64 array of `shape`, all finite (and all
+        above zero when `positive`)."""
+        raw = self.array("<f4", math.prod(shape))
+        if not np.isfinite(raw).all():
+            raise FormatError(f"non-finite value in {self.label} file")
+        out = raw.astype(np.float64).reshape(shape)
+        if positive and not (out > 0.0).all():
+            raise FormatError(f"value at or below zero in {self.label} file")
+        return out
+
+    def weights(self, count: int) -> np.ndarray:
+        """Mixture weights: `count` positive f32 values that sum to 1 up to
+        the rounding of their f32 storage."""
+        out = self.floats((count,), positive=True)
+        if not abs(out.sum() - 1.0) <= count * np.finfo(np.float32).eps:
+            raise FormatError(f"weights in {self.label} file sum to {out.sum()}, not 1")
+        return out
+
+    def indices(self, shape, bound: int) -> np.ndarray:
+        """u32 values as an int64 array of `shape`, each below `bound`."""
+        out = self.array("<u4", math.prod(shape)).astype(np.int64).reshape(shape)
+        if out.size and out.max() >= bound:
+            raise FormatError(f"index {out.max()} in {self.label} file is not below {bound}")
         return out
 
     def string(self) -> str:
@@ -111,12 +136,9 @@ def descriptors_from_bytes(buf: bytes, source_id: str) -> DescriptorSet:
     r = _Reader(buf, "descriptor")
     _header(r, MAGIC_DESCRIPTORS)
     count, dim = r.take("<QI")
-    vectors = r.array("<f4", count * dim).astype(np.float64).reshape(count, dim)
+    vectors = r.floats((count, dim))
     r.finish()
-    try:
-        return DescriptorSet(source_id, vectors)
-    except ValueError as exc:  # NaN or infinite values
-        raise FormatError(f"descriptor file: {exc}") from exc
+    return DescriptorSet(source_id, vectors)
 
 
 # ---------------------------------------------------------------- QIVM
@@ -138,15 +160,17 @@ def model_from_bytes(buf: bytes):
     kind = r.take("<B")
     if kind == KIND_PCA:
         d_in, d_out = r.take("<II")
-        mean = r.array("<f4", d_in).astype(np.float64)
-        basis = r.array("<f4", d_out * d_in).astype(np.float64).reshape(d_out, d_in)
+        if not 1 <= d_out <= d_in:
+            raise FormatError(f"PCA from {d_in} to {d_out} dimensions in model file")
+        mean = r.floats((d_in,))
+        basis = r.floats((d_out, d_in))
         r.finish()
         return PcaModel(mean=mean, basis=basis)
     if kind == KIND_GMM:
         k, d = r.take("<II")
-        weights = r.array("<f4", k).astype(np.float64)
-        means = r.array("<f4", k * d).astype(np.float64).reshape(k, d)
-        variances = r.array("<f4", k * d).astype(np.float64).reshape(k, d)
+        weights = r.weights(k)
+        means = r.floats((k, d))
+        variances = r.floats((k, d), positive=True)
         r.finish()
         return DiagonalGmm(weights=weights, means=means, variances=variances)
     raise FormatError(f"unknown model kind {kind}")
@@ -173,38 +197,22 @@ def _read_hcfg(r: _Reader) -> HashFamilyConfig:
 
 
 def bank_to_bytes(bank: HashBank) -> bytes:
-    cfg = bank.config
-    parts = [MAGIC_BANK, struct.pack("<I", VERSION), _hcfg_block(cfg)]
-    for h in bank.hashes:
-        if isinstance(h, PlaneHash):
-            parts.append(_f32(h.planes))
-        elif isinstance(h, BitSampleHash):
-            parts.append(np.ascontiguousarray(h.indices, dtype="<u4").tobytes())
-        elif isinstance(h, VqHash):
-            parts.append(_f32(h.centroids))
-        else:
-            raise FormatError(f"not a serializable hash: {type(h).__name__}")
-    return b"".join(parts)
+    # the stacked parameters in C order are the M blocks in hash order
+    dtype = "<u4" if bank.config.family == FAMILY_LSH_B else "<f4"
+    return b"".join([MAGIC_BANK, struct.pack("<I", VERSION), _hcfg_block(bank.config),
+                     np.ascontiguousarray(bank.params, dtype=dtype).tobytes()])
 
 
 def bank_from_bytes(buf: bytes) -> HashBank:
     r = _Reader(buf, "hash bank")
     _header(r, MAGIC_BANK)
     cfg = _read_hcfg(r)
-    hashes = []
-    for _ in range(cfg.M):
-        if cfg.family == FAMILY_LSH_B:
-            idx = r.array("<u4", cfg.n).astype(np.int64)
-            hashes.append(BitSampleHash(idx, cfg.input_dim))
-        elif cfg.family == FAMILY_VQ:
-            cents = r.array("<f4", cfg.n_buckets * cfg.input_dim)
-            hashes.append(VqHash(cents.astype(np.float64).reshape(cfg.n_buckets,
-                                                                  cfg.input_dim)))
-        else:
-            planes = r.array("<f4", cfg.n * cfg.input_dim)
-            hashes.append(PlaneHash(planes.astype(np.float64).reshape(cfg.n, cfg.input_dim)))
+    if cfg.family == FAMILY_LSH_B:
+        params = r.indices(cfg.param_shape, cfg.input_dim)
+    else:
+        params = r.floats(cfg.param_shape)
     r.finish()
-    return HashBank(cfg, tuple(hashes))
+    return HashBank(cfg, params)
 
 
 # ---------------------------------------------------------------- QIVB

@@ -19,7 +19,8 @@ from qivr.embedding import (DescriptorSet, DiagonalGmm, PcaModel, apply_pca,
                             posteriors_batch, reconstruct_hard_fv)
 from qivr.evaluation import (SyntheticSpec, average_precision, gen_synthetic,
                              run_benchmark)
-from qivr.hashing import HashFamilyConfig, sample_hash_bank, train_vq_bank
+from qivr.hashing import (HashFamilyConfig, buckets, sample_hash_bank,
+                          train_vq_bank)
 from qivr.index import (IdfWeights, ModelBundle, SceneRecord, ScoringConfig,
                         build_bf_gd, build_bf_pi, compute_idf,
                         materialize_filters, query_bits, score_query)
@@ -74,7 +75,8 @@ def test_c02_inverted_index_matches_dense_scan(tmp_path):
     scenes, _ = storage.read_manifest(paths.manifest)
     corpus = [storage.frame_loader(ref) for s in scenes for ref in s.frame_refs]
     pca = fit_pca(corpus, 4)
-    gmm = fit_gmm([apply_pca(pca, d) for d in corpus], 4, seed=0)
+    projected = [apply_pca(pca, d) for d in corpus]
+    gmm = fit_gmm(projected, 4, seed=0)
     queries = [storage.read_descriptors(p, source_id=qid)
                for qid, p in storage.read_queries(paths.queries)]
 
@@ -84,7 +86,7 @@ def test_c02_inverted_index_matches_dense_scan(tmp_path):
             cfg = RunConfig(pipeline=pipeline, family=family, domain="gbh",
                             M=4, n=6, K=4, d=4)
             if family == "vq":
-                bank = train_vq_bank(vq_pools(cfg, corpus, pca, gmm),
+                bank = train_vq_bank(vq_pools(cfg, projected, gmm),
                                      cfg.hash_config())
             else:
                 bank = sample_hash_bank(cfg.hash_config())
@@ -163,8 +165,9 @@ def test_c05_hyperplane_collision_rates():
         cfg = HashFamilyConfig("lsh_c", "gbh", M=pairs, n=1, input_dim=dim,
                                seed=int(degrees))
         bank = sample_hash_bank(cfg)
-        hits = sum(h.bucket(a) == h.bucket(b)
-                   for h, a, b in zip(bank.hashes, u, v))
+        # pair i is hashed under hash i
+        ids = np.arange(pairs)
+        hits = np.count_nonzero(buckets(bank, u, ids) == buckets(bank, v, ids))
         assert abs(hits / pairs - (1.0 - theta / math.pi)) <= 0.02
 
 
@@ -184,7 +187,8 @@ def test_c07_planted_retrieval_benchmark(tmp_path):
     scenes, _ = storage.read_manifest(paths.manifest)
     corpus = [storage.frame_loader(ref) for s in scenes for ref in s.frame_refs]
     pca = fit_pca(corpus, 8)
-    gmm = fit_gmm([apply_pca(pca, d) for d in corpus], 16, seed=0)
+    projected = [apply_pca(pca, d) for d in corpus]
+    gmm = fit_gmm(projected, 16, seed=0)
     queries = [(qid, storage.read_descriptors(p, source_id=qid))
                for qid, p in storage.read_queries(paths.queries)]
     truth = storage.read_ground_truth(paths.ground_truth)
@@ -193,7 +197,7 @@ def test_c07_planted_retrieval_benchmark(tmp_path):
     for pipeline, build in (("bf_gd", build_bf_gd), ("bf_pi", build_bf_pi)):
         cfg = RunConfig(pipeline=pipeline, family="vq", domain="gbh",
                         M=16, n=10, K=16, d=8, scoring="tfidf", alpha=0.5)
-        bank = train_vq_bank(vq_pools(cfg, corpus, pca, gmm),
+        bank = train_vq_bank(vq_pools(cfg, projected, gmm),
                              cfg.hash_config())
         bundle = storage.make_bundle(pca, gmm, bank)
         index = build(scenes, bundle, cfg.filter_config(), storage.frame_loader)

@@ -342,3 +342,34 @@ def test_evaluate_corrupt_index_exits_one(ws, tmp_path):
                                "--models", str(ws.models)))
     assert code == 1
     assert err.startswith("error: ") and "pipeline" in err
+
+
+def _models_copy(ws, root):
+    root.mkdir()
+    for name in (pipeline.PCA_FILE, pipeline.GMM_FILE, pipeline.BANK_FILE):
+        (root / name).write_bytes((ws.models / name).read_bytes())
+    return root
+
+
+def test_build_with_out_of_range_bit_sample_exits_one(ws, tmp_path):
+    models = _models_copy(ws, tmp_path / "models")
+    bank = sample_hash_bank(HashFamilyConfig("lsh_b", "gbh", M=4, n=6, input_dim=3, seed=1))
+    blob = bytearray(storage.bank_to_bytes(bank))
+    struct.pack_into("<I", blob, 4 + 4 + 19, 999)  # the first coordinate of hash 0
+    (models / pipeline.BANK_FILE).write_bytes(bytes(blob))
+    code, _, err = run(ws.args("build", str(ws.manifest), "--models", str(models),
+                               "--family", "lsh_b", "--output", str(tmp_path / "idx")))
+    assert code == 1
+    assert err.startswith("error: ") and "999" in err
+
+
+def test_build_with_negative_gmm_variance_exits_one(ws, tmp_path):
+    models = _models_copy(ws, tmp_path / "models")
+    blob = bytearray((models / pipeline.GMM_FILE).read_bytes())
+    blob[-4:] = struct.pack("<f", -1.0)  # the last variance
+    (models / pipeline.GMM_FILE).write_bytes(bytes(blob))
+    code, _, err = run(ws.args("build", str(ws.manifest), "--models", str(models),
+                               "--output", str(tmp_path / "idx")))
+    assert code == 1
+    assert err.startswith("error: ") and "model file" in err
+    assert not (tmp_path / "idx" / pipeline.INDEX_FILE).exists()

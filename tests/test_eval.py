@@ -121,15 +121,6 @@ def test_benchmark_requires_ground_truth(world):
                       [], world.truth)
 
 
-def test_thread_pool_does_not_change_results(world):
-    scoring = ScoringConfig("tfidf", 0.5)
-    solo = run_benchmark(world.index, world.bundle, scoring, world.queries,
-                         world.truth, threads=1)
-    pooled = run_benchmark(world.index, world.bundle, scoring, world.queries,
-                           world.truth, threads=2)
-    assert solo.per_query_ap == pooled.per_query_ap
-
-
 def test_end_to_end_timing_still_scores(world):
     report = run_benchmark(world.index, world.bundle, ScoringConfig("tfidf", 0.5),
                            world.queries, world.truth, end_to_end=True)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from qivr.errors import ConfigError, DimensionMismatch
-from qivr.hashing import (BitSampleHash, FAMILY_LSH_B, FAMILY_LSH_C,
-                          FAMILY_LSH_S, FAMILY_VQ, HashFamilyConfig,
-                          PlaneHash, VqHash, gbh_chunks, hash_rng,
-                          sample_hash_bank, train_vq_bank)
+from qivr.hashing import (FAMILY_LSH_B, FAMILY_LSH_C, FAMILY_LSH_S,
+                          FAMILY_VQ, HashBank, HashFamilyConfig, buckets,
+                          gbh_chunks, hash_rng, sample_hash_bank,
+                          train_vq_bank)
 
 
 def _cfg(family, n=4, M=3, input_dim=6, seed=7, domain="vbh"):
@@ -35,44 +35,61 @@ def test_streams_are_deterministic_and_distinct():
     assert not np.array_equal(a, c)
 
 
+def _bank(family, params, input_dim=None):
+    """A bank with hand-set parameters: (M, n, dim) planes, (M, n)
+    coordinates of `input_dim` ones, or (M, 2^n, dim) centroids."""
+    params = np.asarray(params)
+    n = int(np.log2(params.shape[1])) if family == FAMILY_VQ else params.shape[1]
+    return HashBank(HashFamilyConfig(family, "vbh", M=params.shape[0], n=n,
+                                     input_dim=input_dim or params.shape[2], seed=0), params)
+
+
+def _every_hash(bank, v):
+    """The bucket of one vector under each of the bank's hashes."""
+    m = bank.config.M
+    return buckets(bank, np.tile(v, (m, 1)), np.arange(m)).tolist()
+
+
 def test_bank_deterministic_per_seed():
     cfg = _cfg(FAMILY_LSH_C)
     x = np.random.default_rng(0).standard_normal(6)
     b1, b2 = sample_hash_bank(cfg), sample_hash_bank(cfg)
-    assert [h.bucket(x) for h in b1.hashes] == [h.bucket(x) for h in b2.hashes]
+    assert _every_hash(b1, x) == _every_hash(b2, x)
     other = sample_hash_bank(_cfg(FAMILY_LSH_C, seed=8))
-    assert not np.array_equal(b1.hashes[0].planes, other.hashes[0].planes)
+    assert not np.array_equal(b1.params[0], other.params[0])
+    # hash m's planes come from its own stream, whatever the bank's size
+    for m in range(cfg.M):
+        np.testing.assert_array_equal(b1.params[m], hash_rng(7, m).standard_normal((4, 6)))
 
 
 def test_lsh_s_planes_are_plus_minus_one():
     bank = sample_hash_bank(_cfg(FAMILY_LSH_S))
-    for h in bank.hashes:
-        assert set(np.unique(h.planes)) <= {-1.0, 1.0}
+    assert bank.params.shape == (3, 4, 6)
+    assert set(np.unique(bank.params)) <= {-1.0, 1.0}
 
 
 def test_lsh_b_indices_in_range():
     bank = sample_hash_bank(_cfg(FAMILY_LSH_B, input_dim=5))
-    for h in bank.hashes:
-        assert np.all((0 <= h.indices) & (h.indices < 5))
+    assert bank.params.shape == (3, 4)
+    assert np.all((0 <= bank.params) & (bank.params < 5))
 
 
 def test_little_endian_bit_packing():
     # identity planes: bit i is the sign of coordinate i, weighted 2^i
-    h = PlaneHash(np.eye(3))
-    assert h.bucket([1.0, -1.0, 1.0]) == 0b101
-    assert h.bucket([-1.0, 1.0, -1.0]) == 0b010
-    assert h.bucket([1.0, 1.0, 1.0]) == 7
+    bank = _bank(FAMILY_LSH_C, [np.eye(3)])
+    rows = [[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, 1.0, 1.0]]
+    assert buckets(bank, rows, [0, 0, 0]).tolist() == [0b101, 0b010, 7]
 
 
 def test_zero_projection_counts_as_positive():
-    h = PlaneHash(np.eye(2))
-    assert h.bucket([0.0, -1.0]) == 1
+    bank = _bank(FAMILY_LSH_C, [np.eye(2)])
+    assert buckets(bank, [[0.0, -1.0]], [0]).tolist() == [1]
 
 
 def test_bit_sample_hash_example():
-    h = BitSampleHash(np.array([0, 1]), input_dim=3)
+    bank = _bank(FAMILY_LSH_B, [[0, 1]], input_dim=3)
     # signs (+, -) -> bits (1, 0) -> bucket 1
-    assert h.bucket([2.0, -5.0, 9.0]) == 1
+    assert buckets(bank, [[2.0, -5.0, 9.0]], [0]).tolist() == [1]
 
 
 def test_hyperplane_buckets_scale_invariant():
@@ -80,8 +97,7 @@ def test_hyperplane_buckets_scale_invariant():
     for family in (FAMILY_LSH_C, FAMILY_LSH_S, FAMILY_LSH_B):
         bank = sample_hash_bank(_cfg(family))
         v = rng.standard_normal(6)
-        for h in bank.hashes:
-            assert h.bucket(v) == h.bucket(3.5 * v)
+        assert _every_hash(bank, v) == _every_hash(bank, 3.5 * v)
 
 
 def test_buckets_stay_in_range():
@@ -89,31 +105,56 @@ def test_buckets_stay_in_range():
     vs = rng.standard_normal((200, 6)) * 10
     for family in (FAMILY_LSH_C, FAMILY_LSH_S, FAMILY_LSH_B):
         cfg = _cfg(family, n=3)
-        for h in sample_hash_bank(cfg).hashes:
-            buckets = h.bucket_many(vs)
-            assert np.all((0 <= buckets) & (buckets < cfg.n_buckets))
+        got = buckets(sample_hash_bank(cfg), vs, rng.integers(0, cfg.M, size=200))
+        assert np.all((0 <= got) & (got < cfg.n_buckets))
 
 
 def test_dimension_mismatch_raises():
     bank = sample_hash_bank(_cfg(FAMILY_LSH_C, input_dim=6))
     with pytest.raises(DimensionMismatch):
-        bank.hashes[0].bucket(np.zeros(5))
+        buckets(bank, np.zeros((1, 5)), [0])
+    with pytest.raises(DimensionMismatch):
+        buckets(bank, np.zeros((2, 6)), [0])
+    with pytest.raises(DimensionMismatch):
+        buckets(bank, np.zeros((2, 6)), [0, 3])  # the bank holds hashes 0, 1 and 2
+    with pytest.raises(DimensionMismatch):
+        HashBank(bank.config, bank.params[:2])
+
+
+def _trained_vq_bank():
+    rng = np.random.default_rng(13)
+    cfg = _cfg(FAMILY_VQ, n=5, M=3, input_dim=6)
+    return train_vq_bank([rng.standard_normal((40, 6)) for _ in range(3)], cfg)
+
+
+@pytest.mark.parametrize("family", [FAMILY_LSH_C, FAMILY_LSH_S, FAMILY_LSH_B, FAMILY_VQ])
+def test_batch_buckets_equal_rows_alone(family):
+    # a build hashes every frame in one call; each row must land where it
+    # would alone, whichever rows and hashes share its batch
+    bank = _trained_vq_bank() if family == FAMILY_VQ else sample_hash_bank(_cfg(family))
+    rng = np.random.default_rng(14)
+    rows = rng.standard_normal((300, 6))
+    # rows on centroids, or with every projection zero
+    rows[:3] = bank.params[1, :3] if family == FAMILY_VQ else 0.0
+    hash_ids = rng.integers(0, bank.config.M, size=300)
+    hash_ids[:3] = 1
+    alone = [buckets(bank, row[None, :], [m])[0] for row, m in zip(rows, hash_ids)]
+    assert buckets(bank, rows, hash_ids).tolist() == alone
 
 
 # ------------------------------------------------------------------- VQ
 
 def test_vq_nearest_and_tiebreak():
-    h = VqHash(np.array([[0.0], [2.0], [10.0]]))
-    assert h.bucket([9.0]) == 2
-    assert h.bucket([1.0]) == 0  # equidistant to centroids 0 and 1
+    bank = _bank(FAMILY_VQ, [[[0.0], [2.0], [10.0], [30.0]]])
+    assert buckets(bank, [[9.0]], [0]).tolist() == [2]
+    assert buckets(bank, [[1.0]], [0]).tolist() == [0]  # equidistant to centroids 0 and 1
 
 
 def test_vq_idempotence():
     rng = np.random.default_rng(3)
     centroids = rng.standard_normal((8, 4)) * 3
-    h = VqHash(centroids)
-    for i in range(8):
-        assert h.bucket(centroids[i]) == i
+    bank = _bank(FAMILY_VQ, [centroids])
+    assert buckets(bank, centroids, np.zeros(8, dtype=int)).tolist() == list(range(8))
 
 
 def test_vq_bank_requires_training():
@@ -130,7 +171,7 @@ def test_vq_training_recovers_planted_centers():
     cfg = HashFamilyConfig(FAMILY_VQ, "vbh", M=1, n=2, input_dim=2, seed=5)
     bank = train_vq_bank(pool, cfg)
     assert bank.report.clean
-    got = bank.hashes[0].centroids
+    got = bank.params[0]
     for c in centers:
         assert np.min(np.linalg.norm(got - c, axis=1)) < 0.3
 
@@ -140,7 +181,7 @@ def test_vq_pool_equal_to_centroid_count_is_fixed_point():
     pool = rng.standard_normal((8, 3))
     cfg = HashFamilyConfig(FAMILY_VQ, "vbh", M=1, n=3, input_dim=3, seed=6)
     bank = train_vq_bank(pool, cfg)
-    got = np.sort(bank.hashes[0].centroids.round(12), axis=0)
+    got = np.sort(bank.params[0].round(12), axis=0)
     want = np.sort(pool.round(12), axis=0)
     np.testing.assert_allclose(got, want, atol=1e-9)
 
@@ -152,13 +193,13 @@ def test_vq_fallback_reported_for_small_pools():
     bank = train_vq_bank(pools, cfg)
     assert not bank.report.clean
     assert bank.report.fallbacks == ((0, 3),)
-    assert bank.hashes[0].centroids.shape == (16, 2)
+    assert bank.params[0].shape == (16, 2)
 
 
 def test_vq_empty_pool_still_yields_centroids():
     cfg = HashFamilyConfig(FAMILY_VQ, "gbh", M=1, n=3, input_dim=2, seed=10)
     bank = train_vq_bank([np.zeros((0, 2))], cfg)
-    assert bank.hashes[0].centroids.shape == (8, 2)
+    assert bank.params[0].shape == (8, 2)
     assert bank.report.fallbacks == ((0, 0),)
 
 

@@ -11,7 +11,8 @@ from qivr.baseline import FvStarDatabase, ShotRecord, binarize_fv
 from qivr.bloom import FilterConfig, SceneFilter
 from qivr.embedding import DescriptorSet, DiagonalGmm, PcaModel
 from qivr.errors import FormatError
-from qivr.hashing import HashFamilyConfig, sample_hash_bank, train_vq_bank
+from qivr.hashing import (HashBank, HashFamilyConfig, buckets, sample_hash_bank,
+                          train_vq_bank)
 from qivr.index import (PIPELINE_BF_GD, PIPELINE_BF_PI, InvertedIndex,
                         compute_idf)
 
@@ -80,9 +81,36 @@ def test_bank_round_trip(family):
     bank = _bank(family)
     out = _roundtrip(storage.bank_to_bytes, storage.bank_from_bytes, bank)
     assert out.config == bank.config
+    want = bank.params if bank.config.family == "lsh_b" else bank.params.astype(np.float32)
+    np.testing.assert_array_equal(out.params, want)
     # hashes behave identically after the round trip
-    x = RNG.standard_normal(4)
-    assert [h.bucket(x) for h in out.hashes] == [h.bucket(x) for h in bank.hashes]
+    x = RNG.standard_normal((6, 4))
+    hash_ids = np.arange(6) % 3
+    np.testing.assert_array_equal(buckets(out, x, hash_ids), buckets(bank, x, hash_ids))
+
+
+@pytest.mark.parametrize("family", ["lsh_c", "lsh_b", "vq"])
+def test_bank_layout_matches_format(family):
+    # the QIVH layout written out field by field: the header, then M blocks
+    # in hash order, each row-major
+    cfg = HashFamilyConfig(family, "gbh", M=2, n=2, input_dim=3, seed=5)
+    if family == "lsh_b":
+        blocks = [[2, 0], [1, 1]]
+        fmt, code = "<2I", 2
+    else:
+        rows = 4 if family == "vq" else 2
+        blocks = [[0.5 * (m + 1) * (i - j) for i in range(rows) for j in range(3)]
+                  for m in range(2)]
+        fmt, code = f"<{rows * 3}f", 3 if family == "vq" else 0
+    bank = HashBank(cfg, np.array(blocks).reshape(cfg.param_shape))
+
+    want = b"QIVH" + struct.pack("<I", 1)
+    want += struct.pack("<BBIBIQ", code, 1, 2, 2, 3, 5)  # family, gbh, M, n, dim, seed
+    for block in blocks:
+        want += struct.pack(fmt, *block)
+
+    assert storage.bank_to_bytes(bank) == want
+    np.testing.assert_array_equal(storage.bank_from_bytes(want).params, bank.params)
 
 
 @pytest.mark.parametrize("partitioned", [True, False])
@@ -258,6 +286,71 @@ def test_non_finite_descriptors_rejected(bad):
         storage.descriptors_from_bytes(bytes(blob), "x")
 
 
+def _set_f32(blob, index_from_end, value):
+    out = bytearray(blob)
+    struct.pack_into("<f", out, len(out) - 4 * index_from_end, value)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_model_and_bank_values_rejected(bad):
+    # the last float of each payload: a PCA basis entry, a GMM variance, a
+    # plane and a centroid coordinate
+    for blob, read in ((storage.model_to_bytes(_pca()), storage.model_from_bytes),
+                       (storage.model_to_bytes(_gmm()), storage.model_from_bytes),
+                       (storage.bank_to_bytes(_bank("lsh_c")), storage.bank_from_bytes),
+                       (storage.bank_to_bytes(_bank("vq")), storage.bank_from_bytes)):
+        with pytest.raises(FormatError, match="non-finite"):
+            read(_set_f32(blob, 1, bad))
+
+
+def test_gmm_weights_must_be_positive_and_sum_to_one():
+    k, d = 3, 4
+    blob = storage.model_to_bytes(_gmm(k, d))
+    first_weight = 2 * k * d + k  # floats from the end of the file
+    with pytest.raises(FormatError, match="at or below zero"):
+        storage.model_from_bytes(_set_f32(blob, first_weight, 0.0))
+    with pytest.raises(FormatError, match="sum to"):
+        storage.model_from_bytes(_set_f32(blob, first_weight, 0.9))
+
+
+def test_gmm_weights_keep_their_f32_rounding():
+    # weights that sum to 1 in float64 read back, whatever f32 does to them
+    for k in (1, 3, 7, 16, 100):
+        w = np.random.default_rng(k).random(k) + 0.01
+        gmm = DiagonalGmm(w / w.sum(), np.zeros((k, 2)), np.full((k, 2), 1e-6))
+        out = storage.model_from_bytes(storage.model_to_bytes(gmm))
+        assert out.n_components == k
+
+
+def test_gmm_variances_must_be_positive():
+    blob = storage.model_to_bytes(_gmm())
+    for value in (0.0, -1.0):
+        with pytest.raises(FormatError, match="at or below zero"):
+            storage.model_from_bytes(_set_f32(blob, 1, value))
+
+
+def test_bit_sample_coordinates_must_be_below_input_dim():
+    blob = storage.bank_to_bytes(_bank("lsh_b"))  # input_dim 4
+    for value, ok in ((3, True), (4, False), (999, False)):
+        variant = bytearray(blob)
+        struct.pack_into("<I", variant, len(variant) - 4, value)
+        if ok:
+            assert storage.bank_from_bytes(bytes(variant)).params[-1, -1] == value
+        else:
+            with pytest.raises(FormatError, match="not below 4"):
+                storage.bank_from_bytes(bytes(variant))
+
+
+def test_pca_dimensions_must_nest():
+    d_at = 4 + 4 + 1  # magic, version, kind
+    for d_in, d_out in ((4, 0), (4, 5)):
+        blob = _corrupt(storage.model_to_bytes(_pca()), d_at, "<I", d_in)
+        blob = _corrupt(blob, d_at + 4, "<I", d_out)
+        with pytest.raises(FormatError, match="PCA"):
+            storage.model_from_bytes(blob)
+
+
 def test_negative_seed_rejected():
     cfg = HashFamilyConfig("lsh_c", "gbh", M=3, n=4, input_dim=4, seed=7)
     bank = sample_hash_bank(cfg)
@@ -331,25 +424,72 @@ def test_index_rejects_unordered_and_empty_postings():
         storage.index_to_bytes(empty)
 
 
-@pytest.mark.parametrize("partitioned", [True, False])
-def test_index_byte_sweep_reads_back_or_raises(partitioned):
-    # every byte of a small valid index set to 0x00, 0xFF and 0x07 in turn
-    blob = storage.index_to_bytes(_toy_index(partitioned=partitioned))
-    outcomes = {"read": 0, "rejected": 0}
+def _byte_sweep(blob, read, write):
+    """Set every byte of a valid file to 0x00, 0xFF and 0x07 in turn. Each
+    variant must raise FormatError, or read back and write the same bytes.
+    Returns what was read."""
+    loaded, rejected = [], 0
     for at in range(len(blob)):
         for value in (0x00, 0xFF, 0x07):
             variant = _corrupt(blob, at, "<B", value)
             try:
-                loaded = storage.index_from_bytes(variant)
+                out = read(variant)
             except FormatError:
-                outcomes["rejected"] += 1
+                rejected += 1
                 continue
-            outcomes["read"] += 1
-            # what the reader accepts writes back to the same bytes, and its
-            # ordinals index the scene list
-            assert storage.index_to_bytes(loaded) == variant, (at, value)
-            assert loaded.ordinals.max() < loaded.n_scenes
-    assert outcomes["read"] and outcomes["rejected"]
+            assert write(out) == variant, (at, value)
+            loaded.append(out)
+    assert loaded and rejected
+    return loaded
+
+
+@pytest.mark.parametrize("partitioned", [True, False])
+def test_index_byte_sweep_reads_back_or_raises(partitioned):
+    blob = storage.index_to_bytes(_toy_index(partitioned=partitioned))
+    for loaded in _byte_sweep(blob, storage.index_from_bytes, storage.index_to_bytes):
+        # the ordinals of what the reader accepts index the scene list
+        assert loaded.ordinals.max() < loaded.n_scenes
+
+
+def _sweep_case(fmt):
+    """The bytes of a small valid file of one format, its reader and its writer."""
+    if fmt == "qivd":
+        dset = DescriptorSet("f", RNG.standard_normal((3, 2)))
+        return (storage.descriptors_to_bytes(dset),
+                lambda b: storage.descriptors_from_bytes(b, "f"), storage.descriptors_to_bytes)
+    if fmt.startswith("qivm"):
+        model = _pca(3) if fmt == "qivm-pca" else _gmm(2, 2)
+        return storage.model_to_bytes(model), storage.model_from_bytes, storage.model_to_bytes
+    if fmt.startswith("qivh"):
+        family = fmt.split("-")[1]
+        cfg = HashFamilyConfig(family, "gbh", M=2, n=1, input_dim=2, seed=3)
+        bank = (train_vq_bank([RNG.standard_normal((4, 2)) for _ in range(2)], cfg)
+                if family == "vq" else sample_hash_bank(cfg))
+        return storage.bank_to_bytes(bank), storage.bank_from_bytes, storage.bank_to_bytes
+    if fmt == "qivb":
+        cfg = FilterConfig(partitioned=True, M=2, L_p=32)
+        filters = [SceneFilter(f"s{i}", cfg) for i in range(2)]
+        filters[1].set_bit(40)
+        return (storage.filters_to_bytes(filters, cfg), storage.filters_from_bytes,
+                lambda loaded: storage.filters_to_bytes(loaded[1], loaded[0]))
+    rows = np.vstack([binarize_fv(RNG.standard_normal(4)) for _ in range(2)])
+    db = FvStarDatabase("frame", 2, 2, ("e0", "e1"), ("p0", "p0"), rows)
+    return storage.fvstar_to_bytes(db), storage.fvstar_from_bytes, storage.fvstar_to_bytes
+
+
+@pytest.mark.parametrize("fmt", ["qivd", "qivm-pca", "qivm-gmm", "qivh-lsh_c", "qivh-lsh_b",
+                                 "qivh-vq", "qivb", "qivf"])
+def test_byte_sweep_reads_back_or_raises(fmt):
+    # the index sweep above, for every other binary format, plus every
+    # truncation and three appended tails
+    blob, read, write = _sweep_case(fmt)
+    _byte_sweep(blob, read, write)
+    for cut in range(len(blob)):
+        with pytest.raises(FormatError):
+            read(blob[:cut])
+    for tail in (b"\x00", b"\xff" * 4, bytes(range(64))):
+        with pytest.raises(FormatError):
+            read(blob + tail)
 
 
 _QIVI = storage.index_to_bytes(_toy_index())
