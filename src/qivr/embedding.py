@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from .clustering import kmeans_pp_init
-from .errors import DimensionMismatch, EmptyInputError, InsufficientData
+from .errors import DimensionMismatch, EmptyInputError, FormatError, InsufficientData
 
 VARIANCE_FLOOR = 1e-6
 
@@ -38,7 +38,7 @@ class DescriptorSet:
         if v.ndim != 2:
             raise DimensionMismatch(f"descriptors must be 2-D, got shape {v.shape}")
         if v.size and not np.isfinite(v).all():
-            raise ValueError(f"non-finite descriptor values in {self.source_id!r}")
+            raise FormatError(f"non-finite descriptor values in {self.source_id!r}")
         object.__setattr__(self, "vectors", v)
 
     @property

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import baseline, storage
 from .embedding import DescriptorSet
-from .errors import EmptyInputError, QivrError
+from .errors import ConfigError, EmptyInputError, QivrError
 from .index import (InvertedIndex, ModelBundle, ScoringConfig, compute_idf,
                     score_query)
 
@@ -201,6 +201,9 @@ class SyntheticSpec:
                   self.descriptors_per_frame, self.d, self.query_count)
         if any(c < 1 for c in counts):
             raise QivrError("all synthetic counts must be >= 1")
+        for name in ("noise_sigma", "center_radius", "cloud_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.noise_sigma < 0:
             raise QivrError("noise_sigma must be >= 0")
 

@@ -18,6 +18,7 @@ Scoring follows the two per-probe update rules: hash-match counting
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -54,6 +55,8 @@ class ScoringConfig:
     def __post_init__(self):
         if self.mode not in (SCORE_HASH_MATCHES, SCORE_TFIDF):
             raise ConfigError(f"unknown scoring mode {self.mode!r}")
+        if not math.isfinite(self.alpha) or self.alpha < 0:
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
 
 
 @dataclass(frozen=True)

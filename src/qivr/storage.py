@@ -26,7 +26,8 @@ from .errors import ConfigError, FormatError
 from .hashing import FAMILIES, DOMAINS, FAMILY_LSH_B, HashBank, HashFamilyConfig
 from .index import InvertedIndex, ModelBundle
 
-VERSION = 1
+VERSION = 1        # QIVD, QIVM, QIVH, QIVB and QIVF
+VERSION_INDEX = 2  # QIVI
 
 MAGIC_DESCRIPTORS = b"QIVD"
 MAGIC_MODEL = b"QIVM"
@@ -105,12 +106,12 @@ class _Reader:
             raise FormatError(f"{len(self.buf) - self.pos} trailing bytes in {self.label} file")
 
 
-def _header(reader: _Reader, magic: bytes):
+def _header(reader: _Reader, magic: bytes, expected: int):
     got = reader.raw(4)
     if got != magic:
         raise FormatError(f"bad magic {got!r}, expected {magic!r}")
     version = reader.take("<I")
-    if version != VERSION:
+    if version != expected:
         raise FormatError(f"unsupported {magic.decode()} version {version}")
 
 
@@ -134,7 +135,7 @@ def descriptors_to_bytes(dset: DescriptorSet) -> bytes:
 
 def descriptors_from_bytes(buf: bytes, source_id: str) -> DescriptorSet:
     r = _Reader(buf, "descriptor")
-    _header(r, MAGIC_DESCRIPTORS)
+    _header(r, MAGIC_DESCRIPTORS, VERSION)
     count, dim = r.take("<QI")
     vectors = r.floats((count, dim))
     r.finish()
@@ -156,7 +157,7 @@ def model_to_bytes(model) -> bytes:
 
 def model_from_bytes(buf: bytes):
     r = _Reader(buf, "model")
-    _header(r, MAGIC_MODEL)
+    _header(r, MAGIC_MODEL, VERSION)
     kind = r.take("<B")
     if kind == KIND_PCA:
         d_in, d_out = r.take("<II")
@@ -205,7 +206,7 @@ def bank_to_bytes(bank: HashBank) -> bytes:
 
 def bank_from_bytes(buf: bytes) -> HashBank:
     r = _Reader(buf, "hash bank")
-    _header(r, MAGIC_BANK)
+    _header(r, MAGIC_BANK, VERSION)
     cfg = _read_hcfg(r)
     if cfg.family == FAMILY_LSH_B:
         params = r.indices(cfg.param_shape, cfg.input_dim)
@@ -244,7 +245,7 @@ def filters_to_bytes(filters, config: FilterConfig) -> bytes:
 
 def filters_from_bytes(buf: bytes):
     r = _Reader(buf, "filter set")
-    _header(r, MAGIC_FILTERS)
+    _header(r, MAGIC_FILTERS, VERSION)
     config = _read_fcfg(r)
     count = r.take("<I")
     n_words = (config.n_bits + 63) // 64
@@ -259,29 +260,21 @@ def filters_from_bytes(buf: bytes):
 
 # ---------------------------------------------------------------- QIVI
 #
-# After the header, scene ids and a u64 key count come the posting records,
-# one per key in ascending key order: a (u16 hash m, u32 bucket, u32 df) head
-# and df u32 ordinal deltas (the first delta is the first ordinal). The f32
-# IDF weights, one per key, close the file.
+# Version 2. After the header, scene ids and a u64 key count comes the head
+# block: n_keys packed (u16 hash m, u32 bucket, u32 df) heads, one per key in
+# ascending key order. Then the delta block: every posting list's u32
+# ordinal deltas, list after list (the first delta of a list is its first
+# ordinal). The f32 IDF weights, one per key, close the file. Each block is
+# read as one array. Version 1, which put each head before its own deltas,
+# is rejected.
 
 _POSTING_HEAD = np.dtype([("m", "<u2"), ("bucket", "<u4"), ("df", "<u4")])  # packed
-_DF = struct.Struct("<I")
-_DF_AT = _POSTING_HEAD.fields["df"][1]
-
-
-def _head_mask(offsets: np.ndarray) -> np.ndarray:
-    """Which bytes of the posting records are heads, for CSR offsets."""
-    n_keys = len(offsets) - 1
-    at = np.arange(n_keys) * _POSTING_HEAD.itemsize + 4 * offsets[:-1]
-    mask = np.zeros(n_keys * _POSTING_HEAD.itemsize + 4 * int(offsets[-1]), dtype=bool)
-    mask[(at[:, None] + np.arange(_POSTING_HEAD.itemsize)).ravel()] = True
-    return mask
 
 
 def index_to_bytes(index: InvertedIndex) -> bytes:
     fcfg = index.filter_config
     parts = [MAGIC_INDEX,
-             struct.pack("<IB", VERSION, index_mod.PIPELINES.index(index.pipeline)),
+             struct.pack("<IB", VERSION_INDEX, index_mod.PIPELINES.index(index.pipeline)),
              _fcfg_block(fcfg), _hcfg_block(index.hash_config)]
     for digest in index.fingerprints:
         if len(digest) != 32:
@@ -306,11 +299,8 @@ def index_to_bytes(index: InvertedIndex) -> bytes:
         raise FormatError("empty posting list")
     deltas = np.diff(ordinals.astype(np.int64), prepend=0)
     deltas[offsets[:-1]] = ordinals[offsets[:-1]]
-    mask = _head_mask(offsets)
-    records = np.empty(len(mask), dtype=np.uint8)
-    records[mask] = head.view(np.uint8)
-    records[~mask] = deltas.astype("<u4").view(np.uint8)
-    parts.append(records.tobytes())
+    parts.append(head.tobytes())
+    parts.append(deltas.astype("<u4").tobytes())
 
     if index.idf is None:
         index_mod.compute_idf(index)
@@ -320,7 +310,7 @@ def index_to_bytes(index: InvertedIndex) -> bytes:
 
 def index_from_bytes(buf: bytes) -> InvertedIndex:
     r = _Reader(buf, "index")
-    _header(r, MAGIC_INDEX)
+    _header(r, MAGIC_INDEX, VERSION_INDEX)
     code = r.take("<B")
     if code >= len(index_mod.PIPELINES):
         raise FormatError(f"unknown pipeline code {code}")
@@ -334,33 +324,18 @@ def index_from_bytes(buf: bytes) -> InvertedIndex:
     # every key takes at least a record head and its IDF weight
     if n_keys * (_POSTING_HEAD.itemsize + 4) > len(buf) - r.pos:
         raise FormatError(f"{n_keys} posting lists cannot fit in the index file")
-
-    # one pass over the record heads' df fields finds where records start
-    begin, end = r.pos, len(buf) - 4 * n_keys
-    starts = []
-    pos = begin
-    for _ in range(n_keys):
-        if pos + _POSTING_HEAD.itemsize > end:
-            raise FormatError("truncated index file")
-        starts.append(pos)
-        pos += _POSTING_HEAD.itemsize + 4 * _DF.unpack_from(buf, pos + _DF_AT)[0]
-    if pos > end:
-        raise FormatError("truncated index file")
-    if pos < end:
-        raise FormatError(f"{end - pos} trailing bytes in index file")
-    r.pos = end
-    stored_idf = r.array("<f4", n_keys)
-    r.finish()
-
-    df = (np.diff(np.array(starts + [end], dtype=np.int64)) - _POSTING_HEAD.itemsize) // 4
+    head = r.array(_POSTING_HEAD, n_keys)
+    n_postings = int(head["df"].sum())
+    # checked before the deltas are read, so that a hostile df allocates nothing
+    if 4 * (n_postings + n_keys) != len(buf) - r.pos:
+        raise FormatError(f"{n_postings} postings and {n_keys} weights do not fill "
+                          f"the {len(buf) - r.pos} bytes left in the index file")
+    df = head["df"].astype(np.int64)
     if np.any(df == 0):
         raise FormatError("empty posting list")
-    offsets = np.zeros(n_keys + 1, dtype=np.int64)
-    np.cumsum(df, out=offsets[1:])
-    records = np.frombuffer(buf, dtype=np.uint8, count=end - begin, offset=begin)
-    mask = _head_mask(offsets)
-    head = records[mask].view(_POSTING_HEAD)
-    deltas = records[~mask].view("<u4").astype(np.int64)
+    deltas = r.array("<u4", n_postings).astype(np.int64)
+    stored_idf = r.array("<f4", n_keys)
+    r.finish()
 
     m = head["m"].astype(np.int64)
     bucket = head["bucket"].astype(np.int64)
@@ -377,6 +352,8 @@ def index_from_bytes(buf: bytes) -> InvertedIndex:
     if np.any(np.diff(keys) <= 0):
         raise FormatError("posting keys out of order")
 
+    offsets = np.zeros(n_keys + 1, dtype=np.int64)
+    np.cumsum(df, out=offsets[1:])
     first = offsets[:-1]
     rising = deltas > 0
     rising[first] = True
@@ -411,7 +388,7 @@ def fvstar_to_bytes(db: FvStarDatabase) -> bytes:
 
 def fvstar_from_bytes(buf: bytes) -> FvStarDatabase:
     r = _Reader(buf, "FV-star database")
-    _header(r, MAGIC_FVSTAR)
+    _header(r, MAGIC_FVSTAR, VERSION)
     gran, k, d, count = r.take("<BIII")
     if gran >= len(GRANULARITIES):
         raise FormatError(f"unknown granularity code {gran}")
@@ -499,7 +476,11 @@ def make_bundle(pca: PcaModel, gmm: DiagonalGmm, bank: HashBank) -> ModelBundle:
 # ---------------------------------------------------------------- text
 
 def _data_lines(path):
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

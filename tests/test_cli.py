@@ -373,3 +373,64 @@ def test_build_with_negative_gmm_variance_exits_one(ws, tmp_path):
     assert code == 1
     assert err.startswith("error: ") and "model file" in err
     assert not (tmp_path / "idx" / pipeline.INDEX_FILE).exists()
+
+
+def _non_utf8_copy(src, dst):
+    dst.write_bytes(src.read_bytes() + b"\xff\n")
+    return dst
+
+
+def _one_line(err, prefix):
+    return err.startswith(prefix) and err.count("\n") == 1
+
+
+def test_non_utf8_manifest_exits_one(ws, tmp_path):
+    # next to the original, so its descriptor paths still resolve
+    bad = _non_utf8_copy(ws.manifest, ws.data / "latin1_manifest.tsv")
+    try:
+        code, _, err = run(ws.args("train", str(bad), "--output", str(tmp_path / "m")))
+    finally:
+        bad.unlink()
+    assert code == 1
+    assert _one_line(err, "error: ") and "latin1_manifest.tsv" in err and "UTF-8" in err
+
+
+def test_non_utf8_ground_truth_exits_one(ws, tmp_path):
+    bad = _non_utf8_copy(ws.truth, tmp_path / "truth.tsv")
+    code, _, err = run(ws.args("evaluate", str(ws.index_file), str(ws.queries), str(bad),
+                               "--models", str(ws.models)))
+    assert code == 1
+    assert _one_line(err, "error: ") and "truth.tsv" in err and "UTF-8" in err
+
+
+def test_non_utf8_config_file_exits_one(ws, tmp_path):
+    bad = _non_utf8_copy(ws.cfg, tmp_path / "bad.cfg")
+    code, _, err = run(["train", str(ws.manifest), "--config", str(bad),
+                        "--output", str(tmp_path / "m")])
+    assert code == 1
+    assert _one_line(err, "error: ") and "bad.cfg" in err and "UTF-8" in err
+
+
+def test_nan_alpha_in_config_exits_two(ws, tmp_path):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(CONFIG.replace("alpha = 0.5", "alpha = nan"))
+    code, out, err = run(["evaluate", str(ws.index_file), str(ws.queries), str(ws.truth),
+                          "--models", str(ws.models), "--config", str(cfg), "--seed", "1"])
+    assert code == 2 and out == ""
+    assert _one_line(err, "config error: ") and "alpha" in err
+
+
+def test_negative_alpha_flag_exits_two(ws):
+    code, out, err = run(ws.args("evaluate", str(ws.index_file), str(ws.queries),
+                                 str(ws.truth), "--models", str(ws.models), "--alpha", "-3"))
+    assert code == 2 and out == ""
+    assert _one_line(err, "config error: ") and "alpha" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--noise_sigma", "nan"), ("--center_radius", "inf")])
+def test_non_finite_synthetic_setting_exits_two(tmp_path, flag, value):
+    code, out, err = run(["gen-synth", "--scenes", "2", "--frames", "2", "--descriptors", "2",
+                          "--queries", "1", flag, value, "--output", str(tmp_path / "d")])
+    assert code == 2 and out == ""
+    assert _one_line(err, "config error: ") and flag[2:] in err
+    assert not (tmp_path / "d").exists()

@@ -7,7 +7,8 @@ from qivr.embedding import (VARIANCE_FLOOR, DescriptorSet, DiagonalGmm,
                             NORM_POWER_L2, NORM_RAW, apply_pca, compute_fv,
                             fit_gmm, fit_pca, point_index, point_index_batch,
                             posteriors, posteriors_batch, reconstruct_hard_fv)
-from qivr.errors import (DimensionMismatch, EmptyInputError, InsufficientData)
+from qivr.errors import (DimensionMismatch, EmptyInputError, FormatError,
+                         InsufficientData)
 
 
 def _dset(vectors, name="t"):
@@ -26,7 +27,7 @@ def _random_gmm(rng, k, d):
 def test_descriptor_set_validation():
     with pytest.raises(DimensionMismatch):
         DescriptorSet("x", np.zeros(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError):
         DescriptorSet("x", np.array([[np.nan, 0.0]]))
     ds = _dset([[1, 2]])
     assert ds.n == 1 and ds.dim == 2

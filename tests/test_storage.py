@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,7 +218,7 @@ def test_index_layout_matches_format(partitioned):
     deltas = [[0, 2], [1], [0, 1, 1]]
     index = _index_from_lists(keys, [np.array(l) for l in lists], fcfg, 3)
 
-    want = b"QIVI" + struct.pack("<IB", 1, 0)
+    want = b"QIVI" + struct.pack("<IB", 2, 0)
     want += struct.pack("<BIQQ", int(partitioned), 2, fcfg.L_p, fcfg.L_np)
     want += struct.pack("<BBIBIQ", 1, 1, 2, 4, 4, 2)  # lsh_s, gbh, M, n, dim, seed
     want += bytes(range(32)) + bytes(32) + b"\xff" * 32
@@ -225,8 +226,10 @@ def test_index_layout_matches_format(partitioned):
     for i in range(3):
         want += struct.pack("<H", 6) + f"scene{i}".encode()
     want += struct.pack("<Q", 3)
-    for (m, bucket), lst, dl in zip(heads, lists, deltas):
-        want += struct.pack("<HII", m, bucket, len(lst)) + struct.pack(f"<{len(dl)}I", *dl)
+    for (m, bucket), lst in zip(heads, lists):  # the head block
+        want += struct.pack("<HII", m, bucket, len(lst))
+    for dl in deltas:  # the delta block
+        want += struct.pack(f"<{len(dl)}I", *dl)
     for lst in lists:
         want += struct.pack("<f", math.log(4.0 / (len(lst) + 1.0)) + 1.0)
 
@@ -370,6 +373,11 @@ def _qivi_keys_at(index):
     return QIVI_SCENES_AT + sum(2 + len(sid) for sid in index.scene_ids)
 
 
+def _qivi_deltas_at(index):
+    # the key count, then one 10-byte head per key
+    return _qivi_keys_at(index) + 8 + 10 * len(index.keys)
+
+
 def _sixteen_scene_index():
     fcfg = FilterConfig(partitioned=True, M=3, L_p=16)
     lists = [np.array([0, 4, 15]), np.array([2]), np.array([3, 9])]
@@ -401,10 +409,31 @@ def test_index_rejects_key_count_beyond_file():
         storage.index_from_bytes(_corrupt(blob, _qivi_keys_at(index), "<Q", 2 ** 40))
 
 
+def test_index_rejects_version_one():
+    blob = storage.index_to_bytes(_sixteen_scene_index())
+    with pytest.raises(FormatError, match="QIVI version 1"):
+        storage.index_from_bytes(_corrupt(blob, 4, "<I", 1))
+
+
+def test_index_rejects_df_beyond_file_before_allocating():
+    fcfg = FilterConfig(partitioned=True, M=3, L_p=16)
+    index = _index_from_lists([5], [np.array([1])], fcfg, 4)
+    blob = _corrupt(storage.index_to_bytes(index), _qivi_keys_at(index) + 8 + 6,
+                    "<I", 2 ** 32 - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="do not fill"):
+            storage.index_from_bytes(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20  # the deltas it claims would take 16 GiB
+
+
 def test_index_rejects_ordinal_beyond_scene_count():
     index = _sixteen_scene_index()
     blob = storage.index_to_bytes(index)
-    first_delta = _qivi_keys_at(index) + 8 + 10
+    first_delta = _qivi_deltas_at(index)
     with pytest.raises(FormatError, match="ordinal"):
         storage.index_from_bytes(_corrupt(blob, first_delta, "<I", 1000))
 
@@ -412,11 +441,11 @@ def test_index_rejects_ordinal_beyond_scene_count():
 def test_index_rejects_unordered_and_empty_postings():
     index = _sixteen_scene_index()
     blob = storage.index_to_bytes(index)
-    second_delta = _qivi_keys_at(index) + 8 + 10 + 4
+    second_delta = _qivi_deltas_at(index) + 4
     with pytest.raises(FormatError, match="increase"):
         storage.index_from_bytes(_corrupt(blob, second_delta, "<I", 0))
-    # the df of the first list set to 0 shifts every later record
-    with pytest.raises(FormatError):
+    # the df of the first list set to 0 leaves its deltas over
+    with pytest.raises(FormatError, match="do not fill"):
         storage.index_from_bytes(_corrupt(blob, _qivi_keys_at(index) + 8 + 6, "<I", 0))
     empty = _index_from_lists([2, 20], [np.array([1]), np.array([], dtype=np.int64)],
                               FilterConfig(partitioned=True, M=3, L_p=16), 4)
