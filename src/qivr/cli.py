@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+import time
 from pathlib import Path
 
 from . import evaluation, pipeline, storage
@@ -123,8 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rerank", action="store_true",
                    help="re-rank FV-star shortlists with the shot database")
     p.add_argument("--json", action="store_true", help="write the report as JSON")
-    p.add_argument("--end_to_end", action="store_true",
-                   help="time embedding + retrieval instead of retrieval only")
     _common_flags(p)
     _config_flags(p)
 
@@ -176,10 +175,10 @@ def cmd_build(args, cfg: RunConfig) -> int:
 
     if fvstar:
         db, shot_db = pipeline.build_fvstar(cfg.pipeline, scenes, shots, bundle)
-        storage.write_fvstar(outdir / FVSTAR_FILE, db)
+        db_path = storage.write_fvstar(outdir / FVSTAR_FILE, db)
         print(f"entries = {db.n_entries}")
         print(f"skipped = {db.skipped}")
-        print(f"database_bytes = {len(storage.fvstar_to_bytes(db))}")
+        print(f"database_bytes = {db_path.stat().st_size}")
         if shot_db is not None:
             storage.write_fvstar(outdir / SHOTS_FILE, shot_db)
             print(f"shot_entries = {shot_db.n_entries}")
@@ -207,10 +206,12 @@ def cmd_query(args, cfg: RunConfig) -> int:
     query = storage.read_descriptors(args.query)
     idf = compute_idf(index)
     top_k = cfg.top_k if cfg.top_k else index.n_scenes
+    t0 = time.perf_counter()
     result = score_query(index, idf, cfg.scoring_config(), query, bundle, top_k)
+    latency = time.perf_counter() - t0
     lines = [f"{rank}\t{sid}\t{score:.6f}"
              for rank, (sid, score) in enumerate(result.ranking, start=1)]
-    text = "\n".join(lines) + f"\nlatency_seconds = {result.latency_seconds:.6f}\n"
+    text = "\n".join(lines) + f"\nlatency_seconds = {latency:.6f}\n"
     sys.stdout.write(text)
     if args.output:
         Path(args.output).write_text(text)
@@ -246,8 +247,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     if n_trials > 1 and not args.manifest:
         raise ConfigError("--manifest is required when trials > 1 (per-trial rebuilds)")
     scenes = storage.read_manifest(args.manifest)[0] if n_trials > 1 else ()
-    report = pipeline.evaluate_index(cfg, index, bundle, queries, truth, n_trials, scenes,
-                                     end_to_end=args.end_to_end)
+    report = pipeline.evaluate_index(cfg, index, bundle, queries, truth, n_trials, scenes)
     return _emit_report(args, report)
 
 

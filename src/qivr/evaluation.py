@@ -1,9 +1,11 @@
 """Retrieval evaluation: average precision, benchmarks, synthetic data.
 
-Benchmarks time the retrieval stage only (hashing + posting traversal +
-ranking); embedding and descriptor I/O sit outside the clock unless
-end-to-end timing is requested. Randomized hash families are evaluated over
-repeated trials with re-seeded banks; the report carries the mAP spread.
+Both benchmarks share one query loop and one latency window: from a query's
+loaded descriptors to its ranked scene ids, for every index kind. The window
+covers PCA, the embedding (Fisher vector or FV* encoding), hashing, posting
+traversal or the Hamming scan, and ranking; descriptor I/O stays outside.
+Randomized hash families are evaluated over repeated trials with re-seeded
+banks; the report carries the mAP spread.
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ from .embedding import DescriptorSet
 from .errors import ConfigError, EmptyInputError, QivrError
 from .index import (InvertedIndex, ModelBundle, ScoringConfig, compute_idf,
                     score_query)
-
-REPORT_KEYS = ("map", "map_stddev", "mean_latency_seconds", "index_bytes", "trials")
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -63,8 +62,7 @@ def mean_ap(aps) -> float:
 
 
 def run_benchmark(index: InvertedIndex, bundle: ModelBundle, scoring: ScoringConfig,
-                  queries, ground_truth: dict, top_k: int = 0,
-                  end_to_end: bool = False) -> EvalReport:
+                  queries, ground_truth: dict, top_k: int = 0) -> EvalReport:
     """Score every query against the index and aggregate mAP and latency.
 
     `queries` holds (query_id, DescriptorSet) pairs; every id must appear
@@ -74,14 +72,7 @@ def run_benchmark(index: InvertedIndex, bundle: ModelBundle, scoring: ScoringCon
     idf = compute_idf(index)
 
     def one(dset):
-        if end_to_end:
-            t0 = time.perf_counter()
-            result = score_query(index, idf, scoring, dset, bundle, k)
-            latency = time.perf_counter() - t0
-        else:
-            result = score_query(index, idf, scoring, dset, bundle, k)
-            latency = result.latency_seconds
-        return (sid for sid, _ in result.ranking), latency
+        return [sid for sid, _ in score_query(index, idf, scoring, dset, bundle, k).ranking]
 
     return _run_queries(one, queries, ground_truth, len(storage.index_to_bytes(index)))
 
@@ -97,7 +88,6 @@ def run_fvstar_benchmark(db, bundle: ModelBundle, queries, ground_truth: dict,
     """
     def one(dset):
         words = baseline.encode_query(bundle.pca, bundle.gmm, dset)
-        t0 = time.perf_counter()
         order, dists = baseline.hamming_rank(db, words)
         if db.granularity == baseline.GRAN_SCENE:
             scenes = [db.owners[i] for i in order]
@@ -105,18 +95,16 @@ def run_fvstar_benchmark(db, bundle: ModelBundle, queries, ground_truth: dict,
             scenes = [sid for sid, _ in baseline.scenes_from_ranking(db, order, dists)]
         if shot_db is not None:
             scenes, _ = baseline.rerank_shortlist(scenes, shot_db, words, shortlist_size)
-        if top_k:
-            scenes = scenes[:top_k]
-        return scenes, time.perf_counter() - t0
+        return scenes[:top_k] if top_k else scenes
 
     return _run_queries(one, queries, ground_truth, len(storage.fvstar_to_bytes(db)))
 
 
 def _run_queries(one, queries, ground_truth: dict, index_bytes: int) -> EvalReport:
-    """The query loop both benchmarks share.
+    """The query loop both benchmarks share, and their one clock.
 
-    `one(dset)` ranks one query and returns (scene ids in rank order, its
-    latency in seconds).
+    `one(dset)` ranks one query and returns its scene ids in rank order;
+    each call is timed whole.
     """
     queries = list(queries)
     if not queries:
@@ -125,15 +113,17 @@ def _run_queries(one, queries, ground_truth: dict, index_bytes: int) -> EvalRepo
     if missing:
         raise QivrError(f"queries missing from ground truth: {missing[:5]}")
 
-    rows = []
+    per_query = []
+    latencies = []
     for qid, dset in queries:
-        ranking, latency = one(dset)
-        rows.append((qid, average_precision(ranking, ground_truth[qid]), latency))
-    per_query = tuple((qid, ap) for qid, ap, _ in rows)
+        t0 = time.perf_counter()
+        ranking = one(dset)
+        latencies.append(time.perf_counter() - t0)
+        per_query.append((qid, average_precision(ranking, ground_truth[qid])))
     return EvalReport(
         map=mean_ap([ap for _, ap in per_query]),
-        per_query_ap=per_query,
-        mean_latency_seconds=float(np.mean([lat for _, _, lat in rows])),
+        per_query_ap=tuple(per_query),
+        mean_latency_seconds=float(np.mean(latencies)),
         index_bytes=index_bytes,
     )
 
@@ -200,12 +190,12 @@ class SyntheticSpec:
         counts = (self.scene_count, self.frames_per_scene,
                   self.descriptors_per_frame, self.d, self.query_count)
         if any(c < 1 for c in counts):
-            raise QivrError("all synthetic counts must be >= 1")
+            raise ConfigError("all synthetic counts must be >= 1")
         for name in ("noise_sigma", "center_radius", "cloud_sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.noise_sigma < 0:
-            raise QivrError("noise_sigma must be >= 0")
+            raise ConfigError("noise_sigma must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ Scoring follows the two per-probe update rules: hash-match counting
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,7 +71,6 @@ class ModelBundle:
 @dataclass(frozen=True)
 class QueryResult:
     ranking: tuple  # (scene_id, score) pairs, scores non-increasing
-    latency_seconds: float
 
 
 @dataclass(frozen=True)
@@ -278,40 +276,27 @@ def rank_ties(scores: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(len(scores)), -scores))
 
 
-def _probe_bits(index: InvertedIndex, bundle: ModelBundle, hash_ids, rows) -> np.ndarray:
-    """Flat bit indices probed by the (hash id, row) pairs of one query."""
-    return _flat_bits(index.filter_config, hash_ids,
-                      hashing.buckets(bundle.bank, rows, hash_ids))
-
-
 def query_bits(index: InvertedIndex, bundle: ModelBundle, query: DescriptorSet) -> np.ndarray:
     """Flat bit indices probed by a query (embeds, then hashes)."""
-    projected = apply_pca(bundle.pca, query)
-    return _probe_bits(index, bundle, *_hash_inputs(index.pipeline, bundle, projected))
+    hash_ids, rows = _hash_inputs(index.pipeline, bundle, apply_pca(bundle.pca, query))
+    return _flat_bits(index.filter_config, hash_ids,
+                      hashing.buckets(bundle.bank, rows, hash_ids))
 
 
 def score_query(index: InvertedIndex, idf: IdfWeights, scoring: ScoringConfig,
                 query: DescriptorSet, bundle: ModelBundle, top_k: int) -> QueryResult:
     """Rank scenes for a query image through the inverted index.
 
-    The query is embedded exactly like an indexed frame. Latency covers
-    hashing, posting traversal and ranking, not PCA/FV embedding.
+    The query is embedded and hashed exactly like an indexed frame, by
+    `query_bits`. Nothing here is timed: callers time the whole call.
     """
     if query.n == 0:
         raise EmptyInputError("empty query descriptor set")
     if bundle.digests != index.fingerprints:
         raise FingerprintMismatch("query-time models do not match the index fingerprints")
-    projected = apply_pca(bundle.pca, query)
-    hash_ids, rows = _hash_inputs(index.pipeline, bundle, projected)
-
-    t0 = time.perf_counter()
-    probes = _probe_bits(index, bundle, hash_ids, rows)
-    scores = _score_probes(index, idf, scoring, probes)
+    scores = _score_probes(index, idf, scoring, query_bits(index, bundle, query))
     order = rank_ties(scores)[:top_k]
-    latency = time.perf_counter() - t0
-
-    ranking = tuple((index.scene_ids[v], float(scores[v])) for v in order)
-    return QueryResult(ranking=ranking, latency_seconds=latency)
+    return QueryResult(ranking=tuple((index.scene_ids[v], float(scores[v])) for v in order))
 
 
 def _score_probes(index: InvertedIndex, idf: IdfWeights, scoring: ScoringConfig,

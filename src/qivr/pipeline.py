@@ -117,22 +117,16 @@ def load_training(manifest_path) -> list:
 def vq_pools(cfg: RunConfig, projected, gmm):
     """Training pools for VQ centroids, matching what the pipeline hashes,
     from the training frames with PCA already applied."""
-    if cfg.domain == hashing.DOMAIN_VBH:
-        fvs = []
-        for dset in projected:
-            fvs.append(embedding.compute_fv(gmm, dset, normalize=True).values)
-        return np.asarray(fvs)
     if cfg.pipeline == index.PIPELINE_BF_PI:
         comp, _, residuals = embedding.point_index_batch(
             gmm, np.vstack([dset.vectors for dset in projected]))
         return [residuals[comp == r] for r in range(cfg.K)]
-    # bf_gd over per-Gaussian FV chunks
-    chunks = [[] for _ in range(cfg.K)]
-    for dset in projected:
-        fv = embedding.compute_fv(gmm, dset, normalize=True)
-        for k, chunk in enumerate(fv.values.reshape(cfg.K, cfg.d)):
-            chunks[k].append(chunk)
-    return [np.asarray(c) for c in chunks]
+    # bf_gd: each frame's Fisher vector, whole (vbh) or per-Gaussian chunk (gbh)
+    fvs = np.array([embedding.compute_fv(gmm, dset, normalize=True).values
+                    for dset in projected])
+    if cfg.domain == hashing.DOMAIN_VBH:
+        return fvs
+    return list(fvs.reshape(len(projected), cfg.K, cfg.d).swapaxes(0, 1))
 
 
 def train(cfg: RunConfig, manifest_path) -> index.ModelBundle:
@@ -226,8 +220,8 @@ def load_queries(path) -> list:
 
 
 def evaluate_index(cfg: RunConfig, inverted: index.InvertedIndex, bundle: index.ModelBundle,
-                   queries, truth: dict, n_trials: int = 1, scenes=(),
-                   end_to_end: bool = False) -> evaluation.EvalReport:
+                   queries, truth: dict, n_trials: int = 1,
+                   scenes=()) -> evaluation.EvalReport:
     """Benchmark an index over `n_trials` trials.
 
     Trial 0 is `inverted` itself. Trial t rebuilds it from `scenes` with a bank
@@ -238,7 +232,7 @@ def evaluate_index(cfg: RunConfig, inverted: index.InvertedIndex, bundle: index.
 
     def bench(trial_index, trial_bundle):
         return evaluation.run_benchmark(trial_index, trial_bundle, scoring, queries, truth,
-                                        top_k=cfg.top_k, end_to_end=end_to_end)
+                                        top_k=cfg.top_k)
 
     reports = [bench(inverted, bundle)]
     base = inverted.hash_config

@@ -434,3 +434,13 @@ def test_non_finite_synthetic_setting_exits_two(tmp_path, flag, value):
     assert code == 2 and out == ""
     assert _one_line(err, "config error: ") and flag[2:] in err
     assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("flag, value, named", [("--scenes", "0", "counts"),
+                                                ("--noise_sigma", "-1", "noise_sigma")])
+def test_out_of_range_synthetic_setting_exits_two(tmp_path, flag, value, named):
+    code, out, err = run(["gen-synth", "--scenes", "2", "--frames", "2", "--descriptors", "2",
+                          "--queries", "1", flag, value, "--output", str(tmp_path / "d")])
+    assert code == 2 and out == ""
+    assert _one_line(err, "config error: ") and named in err
+    assert not (tmp_path / "d").exists()

@@ -1,10 +1,11 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
-from qivr import storage
+from qivr import baseline, index, storage
 from qivr.baseline import ShotRecord, build_frame_fv_star, build_scene_fv_star, build_shot_fv_star
 from qivr.bloom import FilterConfig
 from qivr.embedding import DescriptorSet, PcaModel, fit_gmm
@@ -121,11 +122,24 @@ def test_benchmark_requires_ground_truth(world):
                       [], world.truth)
 
 
-def test_end_to_end_timing_still_scores(world):
-    report = run_benchmark(world.index, world.bundle, ScoringConfig("tfidf", 0.5),
-                           world.queries, world.truth, end_to_end=True)
-    assert report.map == 1.0
-    assert report.mean_latency_seconds > 0.0
+def test_latency_window_starts_at_loaded_descriptors(world, monkeypatch):
+    # both index kinds are timed from the loaded query, so a slow PCA shows
+    db = build_frame_fv_star(world.scenes, world.bundle.pca, world.bundle.gmm,
+                             world.loader)
+
+    def slowed(apply_pca):
+        def wrapper(*args):
+            time.sleep(0.002)
+            return apply_pca(*args)
+        return wrapper
+
+    for module in (index, baseline):
+        monkeypatch.setattr(module, "apply_pca", slowed(module.apply_pca))
+    bloom = run_benchmark(world.index, world.bundle, ScoringConfig("tfidf", 0.5),
+                          world.queries, world.truth)
+    fvstar = run_fvstar_benchmark(db, world.bundle, world.queries, world.truth)
+    assert bloom.mean_latency_seconds >= 0.002
+    assert fvstar.mean_latency_seconds >= 0.002
 
 
 def test_fvstar_benchmark_scene_granularity(world):
