@@ -20,7 +20,10 @@ For each setup the record holds the sha256 of every file ``train`` and
 exit code, stdout and stderr of ``train``, ``build``, ``evaluate`` (in both
 scoring modes, and with ``--trials 3`` for the randomized families) and
 ``query``, with the latency lines dropped; and a sha256 of every query's
-ranking with ``repr`` scores, in both scoring modes.
+ranking with ``repr`` scores, in both scoring modes. For the FV* setups the
+rankings are the scene-collapsed Hamming lists and their re-ranked
+shortlists, plus the ``repr`` of ``run_fvstar_benchmark``'s per-query AP,
+with and without the shot database.
 
 ``--compare`` prints every key whose value differs, or that only one record
 has, and exits 1 if there is any. Keep both runs on one machine: BLAS builds
@@ -134,7 +137,7 @@ class Runner:
         if fvstar:
             self.qivr(f"{name}/evaluate", ["evaluate", built / pipeline.FVSTAR_FILE, queries,
                                            truth, "--models", models, "--rerank"] + flags)
-            self.fvstar_rankings(name, built, models, queries)
+            self.fvstar_rankings(name, built, models, queries, truth)
             return
         index_path = built / pipeline.INDEX_FILE
         evaluate = ["evaluate", index_path, queries, truth, "--models", models] + flags
@@ -159,21 +162,24 @@ class Runner:
                 ranking = score_query(index, idf, scoring, query, bundle, index.n_scenes).ranking
                 self.record[f"{name}/ranking/{mode}/{qid}"] = sha256(repr(ranking).encode())
 
-    def fvstar_rankings(self, name, built, models, queries):
-        from qivr import baseline, pipeline, storage
+    def fvstar_rankings(self, name, built, models, queries, truth):
+        from qivr import baseline, evaluation, pipeline, storage
         db = storage.read_fvstar(built / pipeline.FVSTAR_FILE)
         shot_db = storage.read_fvstar(built / pipeline.SHOTS_FILE)
         bundle = pipeline.load_models(models, need_bank=False)
-        for qid, query in pipeline.load_queries(queries):
+        loaded = pipeline.load_queries(queries)
+        for qid, query in loaded:
             words = baseline.encode_query(bundle.pca, bundle.gmm, query)
             order, dists = baseline.hamming_rank(db, words)
-            if db.granularity == baseline.GRAN_SCENE:
-                ranking = [(db.owners[i], int(d)) for i, d in zip(order, dists)]
-            else:
-                ranking = baseline.scenes_from_ranking(db, order, dists)
+            ranking = baseline.scenes_from_ranking(db, order, dists)
             reranked = baseline.rerank_shortlist([sid for sid, _ in ranking], shot_db, words)
             self.record[f"{name}/ranking/hamming/{qid}"] = sha256(repr(ranking).encode())
             self.record[f"{name}/ranking/rerank/{qid}"] = sha256(repr(reranked).encode())
+        ground_truth = storage.read_ground_truth(truth)
+        for label, shots in (("plain", None), ("shots", shot_db)):
+            report = evaluation.run_fvstar_benchmark(db, bundle, loaded, ground_truth,
+                                                     shot_db=shots)
+            self.record[f"{name}/per_query_ap/{label}"] = repr(report.per_query_ap)
 
 
 def run(tree: Path, out: Path) -> int:

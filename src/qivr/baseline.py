@@ -8,6 +8,7 @@ re-ranking stage that rescores a scene shortlist by the closest shot.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,14 @@ class FvStarDatabase:
     def n_bits(self) -> int:
         return self.n_components * self.dim
 
+    @functools.cached_property
+    def parent_ordinals(self) -> np.ndarray:
+        """Each entry's parent scene as an ordinal, numbered in first-seen
+        order. Built on first use, so opening a database does not pay for it."""
+        seen: dict[str, int] = {}
+        return np.array([seen.setdefault(p, len(seen)) for p in self.parents],
+                        dtype=np.int64)
+
 
 def binarize_fv(values: np.ndarray) -> np.ndarray:
     """Sign bits of an FV packed into uint64 words; component >= 0 maps to 1."""
@@ -63,74 +72,56 @@ def unpack_words(words: np.ndarray, n_bits: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), bitorder="little")[:n_bits]
 
 
-def _encode(pca: PcaModel, gmm: DiagonalGmm, owner: str, stacks: list) -> np.ndarray:
+def _encode(gmm: DiagonalGmm, owner: str, stacks: list) -> np.ndarray:
     merged = DescriptorSet(owner, np.vstack(stacks))
     fv = compute_fv(gmm, merged, normalize=True)
     return binarize_fv(fv.values)
 
 
-def _collect(scene, loader, pca):
-    stacks = []
-    for ref in scene.frame_refs:
-        dset = loader(ref)
-        if dset.n == 0:
-            continue
-        stacks.append(apply_pca(pca, dset).vectors)
-    return stacks
+def _require(items, what: str) -> list:
+    items = list(items)
+    if not items:
+        raise EmptyInputError(f"no {what} to index")
+    return items
 
 
 def build_scene_fv_star(scenes, pca: PcaModel, gmm: DiagonalGmm, loader) -> FvStarDatabase:
     """One binarized FV per scene over the union of its frames' descriptors."""
-    return _build_grouped(GRAN_SCENE, scenes, pca, gmm, loader,
-                          owner=lambda s: s.scene_id, parent=lambda s: s.scene_id)
+    groups = ((s.scene_id, s.scene_id, map(loader, s.frame_refs))
+              for s in _require(scenes, "scenes"))
+    return _build(GRAN_SCENE, groups, pca, gmm)
 
 
 def build_shot_fv_star(shots, pca: PcaModel, gmm: DiagonalGmm, loader) -> FvStarDatabase:
     """One binarized FV per shot; parents point at the owning scene."""
-    return _build_grouped(GRAN_SHOT, shots, pca, gmm, loader,
-                          owner=lambda s: s.shot_id, parent=lambda s: s.parent_scene)
-
-
-def _build_grouped(granularity, groups, pca, gmm, loader, owner, parent) -> FvStarDatabase:
-    groups = list(groups)
-    if not groups:
-        raise EmptyInputError(f"no {granularity}s to index")
-    owners, parents, rows = [], [], []
-    skipped = 0
-    for g in groups:
-        stacks = _collect(g, loader, pca)
-        if not stacks:
-            skipped += 1
-            continue
-        owners.append(owner(g))
-        parents.append(parent(g))
-        rows.append(_encode(pca, gmm, owner(g), stacks))
-    matrix = np.vstack(rows) if rows else np.empty((0, (gmm.n_components * gmm.dim + 63) // 64),
-                                                   dtype=np.uint64)
-    return FvStarDatabase(granularity, gmm.n_components, gmm.dim,
-                          tuple(owners), tuple(parents), matrix, skipped=skipped)
+    groups = ((s.shot_id, s.parent_scene, map(loader, s.frame_refs))
+              for s in _require(shots, "shots"))
+    return _build(GRAN_SHOT, groups, pca, gmm)
 
 
 def build_frame_fv_star(scenes, pca: PcaModel, gmm: DiagonalGmm, loader) -> FvStarDatabase:
     """One binarized FV per frame; empty frames are skipped and counted."""
-    scenes = list(scenes)
-    if not scenes:
-        raise EmptyInputError("no scenes to index")
+    groups = ((dset.source_id, s.scene_id, (dset,))
+              for s in _require(scenes, "scenes") for dset in map(loader, s.frame_refs))
+    return _build(GRAN_FRAME, groups, pca, gmm)
+
+
+def _build(granularity: str, groups, pca: PcaModel, gmm: DiagonalGmm) -> FvStarDatabase:
+    """One row per (owner, parent, frames) group over its loaded frames'
+    descriptors; a group with none is skipped and counted."""
     owners, parents, rows = [], [], []
     skipped = 0
-    for scene in scenes:
-        for ref in scene.frame_refs:
-            dset = loader(ref)
-            if dset.n == 0:
-                skipped += 1
-                continue
-            projected = apply_pca(pca, dset)
-            owners.append(dset.source_id)
-            parents.append(scene.scene_id)
-            rows.append(_encode(pca, gmm, dset.source_id, [projected.vectors]))
-    matrix = np.vstack(rows) if rows else np.empty((0, (gmm.n_components * gmm.dim + 63) // 64),
-                                                   dtype=np.uint64)
-    return FvStarDatabase(GRAN_FRAME, gmm.n_components, gmm.dim,
+    for owner, parent, frames in groups:
+        stacks = [apply_pca(pca, dset).vectors for dset in frames if dset.n]
+        if not stacks:
+            skipped += 1
+            continue
+        owners.append(owner)
+        parents.append(parent)
+        rows.append(_encode(gmm, owner, stacks))
+    n_words = (gmm.n_components * gmm.dim + 63) // 64
+    matrix = np.vstack(rows) if rows else np.empty((0, n_words), dtype=np.uint64)
+    return FvStarDatabase(granularity, gmm.n_components, gmm.dim,
                           tuple(owners), tuple(parents), matrix, skipped=skipped)
 
 
@@ -138,7 +129,7 @@ def encode_query(pca: PcaModel, gmm: DiagonalGmm, query: DescriptorSet) -> np.nd
     if query.n == 0:
         raise EmptyInputError("empty query descriptor set")
     projected = apply_pca(pca, query)
-    return _encode(pca, gmm, query.source_id, [projected.vectors])
+    return _encode(gmm, query.source_id, [projected.vectors])
 
 
 def hamming_rank(db: FvStarDatabase, query_words: np.ndarray, top_k: int = 0):
@@ -158,15 +149,8 @@ def hamming_rank(db: FvStarDatabase, query_words: np.ndarray, top_k: int = 0):
 
 def scenes_from_ranking(db: FvStarDatabase, order: np.ndarray, dists: np.ndarray):
     """Collapse a frame/shot ranking to scenes by first (closest) occurrence."""
-    seen = set()
-    out = []
-    for ordinal, dist in zip(order, dists):
-        parent = db.parents[ordinal]
-        if parent in seen:
-            continue
-        seen.add(parent)
-        out.append((parent, int(dist)))
-    return out
+    first = np.sort(np.unique(db.parent_ordinals[order], return_index=True)[1])
+    return [(db.parents[order[i]], int(dists[i])) for i in first]
 
 
 def rerank_shortlist(ranking, shot_db: FvStarDatabase, query_words: np.ndarray,
@@ -181,11 +165,11 @@ def rerank_shortlist(ranking, shot_db: FvStarDatabase, query_words: np.ndarray,
     ranking = list(ranking)
     shortlist = ranking[:shortlist_size]
     dists = kernels.hamming_distances(shot_db.matrix, np.ascontiguousarray(query_words))
-    best: dict[str, int] = {}
-    for ordinal, parent in enumerate(shot_db.parents):
-        d = int(dists[ordinal])
-        if parent not in best or d < best[parent]:
-            best[parent] = d
+    # per parent ordinal: the scene id, from its first entry, and the least distance
+    first = np.unique(shot_db.parent_ordinals, return_index=True)[1]
+    nearest = np.full(len(first), np.iinfo(np.int64).max)
+    np.minimum.at(nearest, shot_db.parent_ordinals, dists)
+    best = dict(zip([shot_db.parents[i] for i in first], nearest.tolist()))
 
     fixed = {i for i, sid in enumerate(shortlist) if sid not in best}
     movable = sorted(

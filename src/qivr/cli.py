@@ -170,6 +170,8 @@ def cmd_build(args, cfg: RunConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     scenes, shots = storage.read_manifest(args.manifest)
     fvstar = cfg.pipeline in (PIPELINE_SCENE_FV, PIPELINE_FRAME_FV)
+    if fvstar and args.filters:
+        raise ConfigError(f"--filters exports Bloom filters; {cfg.pipeline} builds none")
     bundle = pipeline.load_models(args.models, need_bank=not fvstar)
     pipeline.check_models_match(cfg, bundle)
 
@@ -190,12 +192,12 @@ def cmd_build(args, cfg: RunConfig) -> int:
         storage.write_filters(args.filters, materialize_filters(index),
                               index.filter_config)
     stats = index.stats
-    print(f"scenes = {stats.scenes}")
+    print(f"scenes = {index.n_scenes}")
     print(f"frames = {stats.frames}")
     print(f"descriptors = {stats.descriptors}")
     print(f"skipped_empty_frames = {stats.skipped_empty_frames}")
     print(f"index_bytes = {index_path.stat().st_size}")
-    for sid, count in zip(index.scene_ids, stats.per_scene_setbits):
+    for sid, count in zip(index.scene_ids, index.per_scene_setbits):
         print(f"setbits {sid} = {count}")
     return 0
 
@@ -219,12 +221,16 @@ def cmd_query(args, cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(args, cfg: RunConfig) -> int:
+    index_path = Path(args.index)
+    fvstar = index_path.suffix == ".qivf" or cfg.pipeline in (PIPELINE_SCENE_FV,
+                                                              PIPELINE_FRAME_FV)
+    if args.rerank and not fvstar:
+        raise ConfigError("--rerank re-ranks FV-star shortlists; "
+                          f"{index_path.name} is not an FV-star database")
     queries = pipeline.load_queries(args.queries)
     truth = storage.read_ground_truth(args.truth)
-    index_path = Path(args.index)
 
-    if index_path.suffix == ".qivf" or cfg.pipeline in (PIPELINE_SCENE_FV,
-                                                        PIPELINE_FRAME_FV):
+    if fvstar:
         bundle = pipeline.load_models(args.models, need_bank=False)
         db = storage.read_fvstar(index_path)
         shot_db = None

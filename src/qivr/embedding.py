@@ -229,12 +229,11 @@ def compute_fv(gmm: DiagonalGmm, dset: DescriptorSet, normalize: bool = True) ->
         raise DimensionMismatch(f"descriptor dim {dset.dim} != GMM dim {gmm.dim}")
     x = dset.vectors
     gamma = posteriors_batch(gmm, x)
-    inv_sigma = 1.0 / np.sqrt(gmm.variances)
-    k, d = gmm.n_components, gmm.dim
-    fv = np.empty(k * d)
-    for j in range(k):
-        block = (gamma[:, j:j + 1] * (x - gmm.means[j])).sum(axis=0)
-        fv[j * d:(j + 1) * d] = block * inv_sigma[j] / (dset.n * np.sqrt(gmm.weights[j]))
+    # component-major (K, N, d): each component's (N, d) block is contiguous
+    # and summed over its rows exactly as a per-component sum(axis=0) would be
+    blocks = (gamma.T[:, :, None] * (x - gmm.means[:, None, :])).sum(axis=1)
+    fv = (blocks * (1.0 / np.sqrt(gmm.variances))
+          / (dset.n * np.sqrt(gmm.weights))[:, None]).ravel()
     if not normalize:
         return FisherVector(fv, NORM_RAW)
     fv = np.sign(fv) * np.sqrt(np.abs(fv))

@@ -82,17 +82,15 @@ def run_fvstar_benchmark(db, bundle: ModelBundle, queries, ground_truth: dict,
                          shortlist_size: int = 100) -> EvalReport:
     """Exhaustive-scan benchmark over a binarized-FV database.
 
-    Frame-granularity rankings collapse to scenes by closest frame; when a
-    shot database is supplied the scene shortlist is re-ranked by minimum
-    shot distance.
+    Rankings collapse to scenes by closest entry (a scene database's
+    entries are their own scenes, so its Hamming order stands); when a shot
+    database is supplied the scene shortlist is re-ranked by minimum shot
+    distance.
     """
     def one(dset):
         words = baseline.encode_query(bundle.pca, bundle.gmm, dset)
         order, dists = baseline.hamming_rank(db, words)
-        if db.granularity == baseline.GRAN_SCENE:
-            scenes = [db.owners[i] for i in order]
-        else:
-            scenes = [sid for sid, _ in baseline.scenes_from_ranking(db, order, dists)]
+        scenes = [sid for sid, _ in baseline.scenes_from_ranking(db, order, dists)]
         if shot_db is not None:
             scenes, _ = baseline.rerank_shortlist(scenes, shot_db, words, shortlist_size)
         return scenes[:top_k] if top_k else scenes

@@ -75,11 +75,9 @@ class QueryResult:
 
 @dataclass(frozen=True)
 class BuildStats:
-    scenes: int
     frames: int
     descriptors: int
     skipped_empty_frames: int
-    per_scene_setbits: np.ndarray
 
 
 @dataclass
@@ -220,13 +218,8 @@ def _build(pipeline: str, scenes, bundle: ModelBundle, fcfg: FilterConfig, loade
     keys = bit_of[starts]
     offsets = np.append(starts, len(pairs)).astype(np.int64)
 
-    stats = BuildStats(
-        scenes=len(scenes),
-        frames=n_frames,
-        descriptors=n_descriptors,
-        skipped_empty_frames=skipped,
-        per_scene_setbits=np.bincount(ordinals, minlength=len(scenes)),
-    )
+    stats = BuildStats(frames=n_frames, descriptors=n_descriptors,
+                       skipped_empty_frames=skipped)
     index = InvertedIndex(
         pipeline=pipeline,
         filter_config=fcfg,
@@ -324,8 +317,10 @@ def _score_probes(index: InvertedIndex, idf: IdfWeights, scoring: ScoringConfig,
 
 def materialize_filters(index: InvertedIndex) -> list:
     """Rebuild each scene's SceneFilter from the postings (bit-for-bit)."""
-    filters = [SceneFilter(sid, index.filter_config) for sid in index.scene_ids]
-    for i, key in enumerate(index.keys):
-        for ordinal in index.ordinals[index.offsets[i]:index.offsets[i + 1]]:
-            filters[ordinal].set_bit(int(key))
-    return filters
+    n_words = (index.filter_config.n_bits + 63) // 64
+    words = np.zeros((index.n_scenes, n_words), dtype=np.uint64)
+    bits = np.repeat(index.keys, np.diff(index.offsets)).astype(np.uint64)
+    np.bitwise_or.at(words, (index.ordinals, bits // np.uint64(64)),
+                     np.uint64(1) << (bits % np.uint64(64)))
+    return [SceneFilter(sid, index.filter_config, row)
+            for sid, row in zip(index.scene_ids, words)]

@@ -8,7 +8,8 @@ from qivr.baseline import (FvStarDatabase, GRAN_SCENE, ShotRecord, binarize_fv,
 from qivr.embedding import (DescriptorSet, PcaModel, apply_pca, compute_fv,
                             fit_gmm)
 from qivr.errors import DimensionMismatch, EmptyInputError
-from qivr.index import SceneRecord
+from qivr.evaluation import run_fvstar_benchmark
+from qivr.index import ModelBundle, SceneRecord
 
 D = 4
 K = 3
@@ -206,7 +207,98 @@ def test_scenes_from_ranking_keeps_first_occurrence():
     assert scenes_from_ranking(db, order, dists) == [("x", 0), ("y", 1), ("z", 2)]
 
 
+def _collapse_oracle(db, order, dists):
+    """The per-row loop scenes_from_ranking replaced."""
+    seen = set()
+    out = []
+    for ordinal, dist in zip(order, dists):
+        parent = db.parents[ordinal]
+        if parent in seen:
+            continue
+        seen.add(parent)
+        out.append((parent, int(dist)))
+    return out
+
+
+def _random_db(rng, granularity):
+    """Few bits, so distances tie; parents repeat in no sorted order."""
+    n = int(rng.integers(1, 40))
+    names = [f"p{i}" for i in rng.permutation(8)]
+    parents = [names[i] for i in rng.integers(0, len(names), size=n)]
+    return _db(parents, rng.integers(0, 2, size=(n, 8)), granularity=granularity,
+               n_components=2, dim=4)
+
+
+def test_scenes_from_ranking_matches_loop_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        db = _random_db(rng, "frame")
+        query = _pack(rng.integers(0, 2, size=8))
+        top_k = int(rng.integers(0, db.n_entries + 1))
+        order, dists = hamming_rank(db, query, top_k=top_k)
+        assert scenes_from_ranking(db, order, dists) == _collapse_oracle(db, order, dists)
+
+
+def test_parent_ordinals_number_parents_in_first_seen_order():
+    db = _db(["y", "x", "y", "z", "x"], [[1, 0]] * 5, n_components=1, dim=2)
+    assert db.parent_ordinals.tolist() == [0, 1, 0, 2, 1]
+
+
+def test_fvstar_benchmark_keeps_scene_database_in_hamming_order(world):
+    db = build_scene_fv_star(world.scenes, world.pca, world.gmm, world.loader)
+    bundle = ModelBundle(pca=world.pca, gmm=world.gmm, bank=None)
+    queries, truth, want = [], {}, {}
+    for ref in ((0, 0), (2, 1), (4, 3)):
+        query = world.loader(ref)
+        order, _ = hamming_rank(db, encode_query(world.pca, world.gmm, query))
+        # one query id per rank: AP against a single relevant scene is 1/rank
+        for rank, ordinal in enumerate(order, start=1):
+            qid = f"{ref}@{rank}"
+            queries.append((qid, query))
+            truth[qid] = {db.owners[ordinal]}
+            want[qid] = 1.0 / rank
+    report = run_fvstar_benchmark(db, bundle, queries, truth)
+    assert dict(report.per_query_ap) == want
+
+
 # ------------------------------------------------------------- reranking
+
+def _rerank_oracle(ranking, shot_db, query_words, shortlist_size=100):
+    """The per-row loop rerank_shortlist replaced."""
+    ranking = list(ranking)
+    shortlist = ranking[:shortlist_size]
+    dists = (unpack_words(shot_db.matrix.ravel(), shot_db.matrix.size * 64)
+             .reshape(shot_db.n_entries, -1)[:, :shot_db.n_bits]
+             != unpack_words(query_words, shot_db.n_bits)).sum(axis=1)
+    best = {}
+    for ordinal, parent in enumerate(shot_db.parents):
+        d = int(dists[ordinal])
+        if parent not in best or d < best[parent]:
+            best[parent] = d
+    fixed = {i for i, sid in enumerate(shortlist) if sid not in best}
+    movable = sorted(
+        ((best[sid], i, sid) for i, sid in enumerate(shortlist) if i not in fixed))
+    out = list(shortlist)
+    free = (i for i in range(len(shortlist)) if i not in fixed)
+    for slot, (_, _, sid) in zip(free, movable):
+        out[slot] = sid
+    flagged = tuple(shortlist[i] for i in sorted(fixed))
+    return out + ranking[shortlist_size:], flagged
+
+
+def test_rerank_matches_loop_oracle():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        db = _random_db(rng, "shot")
+        # p0..p7 may or may not have shots; the ghosts never do
+        scenes = [f"p{i}" for i in range(8)] + ["ghost0", "ghost1"]
+        ranking = [scenes[i] for i in rng.permutation(len(scenes))]
+        query = _pack(rng.integers(0, 2, size=8))
+        size = int(rng.integers(1, len(ranking) + 2))
+        assert (rerank_shortlist(ranking, db, query, size)
+                == _rerank_oracle(ranking, db, query, size))
+
+
 
 def _shot_world(rng, n_scenes=5, n_bits=64):
     rows, parents = [], []

@@ -240,6 +240,24 @@ def test_rerank_without_shot_database_fails(ws, tmp_path):
     assert "shot database" in err
 
 
+def test_fvstar_build_with_filters_exits_two(ws, tmp_path):
+    # an FV* database has no Bloom filters to export
+    outdir, filters = tmp_path / "fv", tmp_path / "f.qivb"
+    code, out, err = run(ws.args("build", str(ws.manifest), "--models", str(ws.models),
+                                 "--pipeline", "frame_fv_star", "--output", str(outdir),
+                                 "--filters", str(filters)))
+    assert code == 2 and out == ""
+    assert _one_line(err, "config error: ") and "--filters" in err
+    assert not filters.exists() and not (outdir / "fvstar.qivf").exists()
+
+
+def test_rerank_on_bloom_index_exits_two(ws):
+    code, out, err = run(ws.args("evaluate", str(ws.index_file), str(ws.queries),
+                                 str(ws.truth), "--models", str(ws.models), "--rerank"))
+    assert code == 2 and out == ""
+    assert _one_line(err, "config error: ") and "--rerank" in err
+
+
 # -------------------------------------------------------------- exit codes
 
 def test_unknown_config_key_exits_two(ws, tmp_path):

@@ -216,6 +216,31 @@ def test_fv_matches_double_loop_oracle():
     np.testing.assert_allclose(fv.values, _fv_oracle(gmm, x), rtol=1e-9, atol=1e-12)
 
 
+def _fv_per_component(gmm, x):
+    """The per-component loop compute_fv replaced, in its arithmetic order."""
+    gamma = posteriors_batch(gmm, x)
+    inv_sigma = 1.0 / np.sqrt(gmm.variances)
+    k, d = gmm.n_components, gmm.dim
+    fv = np.empty(k * d)
+    for j in range(k):
+        block = (gamma[:, j:j + 1] * (x - gmm.means[j])).sum(axis=0)
+        fv[j * d:(j + 1) * d] = block * inv_sigma[j] / (x.shape[0] * np.sqrt(gmm.weights[j]))
+    return fv
+
+
+def test_fv_equals_per_component_loop_bit_for_bit():
+    # d = 1 with N >= 8 is where an (N, K, d) sum over axis 0 rounds differently
+    rng = np.random.default_rng(14)
+    for k, d, n in [(1, 1, 8), (3, 1, 9), (4, 1, 40), (16, 1, 200), (5, 3, 1),
+                    (2, 8, 7), (16, 8, 8), (7, 17, 150)]:
+        for scale in (0.1, 1.0, 100.0):
+            gmm = _random_gmm(rng, k, d)
+            gmm = DiagonalGmm(gmm.weights, gmm.means * scale, gmm.variances * scale ** 2)
+            x = rng.standard_normal((n, d)) * scale
+            got = compute_fv(gmm, _dset(x), normalize=False).values
+            assert np.array_equal(got, _fv_per_component(gmm, x)), (k, d, n, scale)
+
+
 def test_fv_normalization_is_signed_sqrt_then_l2():
     rng = np.random.default_rng(13)
     gmm = _random_gmm(rng, 3, 2)
