@@ -2,8 +2,9 @@
 
 Partitioned filters give each of the M hash functions its own block of
 L_p bits (bit m*L_p + bucket); non-partitioned filters share one array of
-L_np bits. Insert-only: bits never clear, and the popcount cache tracks
-every mutation.
+L_np bits. `FilterConfig.flat_bits` and `split_bits` state that layout
+once, for the filters, the inverted index and the QIVI file. Insert-only:
+bits never clear, and the popcount cache tracks every mutation.
 """
 
 from __future__ import annotations
@@ -34,6 +35,18 @@ class FilterConfig:
     def n_bits(self) -> int:
         return self.L_p * self.M if self.partitioned else self.L_np
 
+    def flat_bits(self, m, buckets):
+        """Flat bit of (hash m, bucket): m*L_p + bucket when partitioned, else
+        the bucket itself. Ints or arrays; callers range-check the buckets."""
+        return m * self.L_p + buckets if self.partitioned else buckets
+
+    def split_bits(self, keys):
+        """(hash m, bucket) of each flat bit, the inverse of `flat_bits`; m is
+        0 throughout when the filter is not partitioned."""
+        if self.partitioned:
+            return np.divmod(keys, self.L_p)
+        return np.zeros_like(keys), keys
+
 
 def bit_budget(config: FilterConfig) -> int:
     """Total bits: B_p = L_p * M when partitioned, else B_np = L_np."""
@@ -61,13 +74,11 @@ class SceneFilter:
     def bit_index(self, m: int, bucket: int) -> int:
         """Flat bit position of (hash m, bucket); range-checks the bucket."""
         cfg = self.config
-        if cfg.partitioned:
-            if not 0 <= bucket < cfg.L_p:
-                raise BucketRangeError(f"bucket {bucket} outside partition of {cfg.L_p}")
-            return m * cfg.L_p + bucket
-        if not 0 <= bucket < cfg.L_np:
+        if cfg.partitioned and not 0 <= bucket < cfg.L_p:
+            raise BucketRangeError(f"bucket {bucket} outside partition of {cfg.L_p}")
+        if not cfg.partitioned and not 0 <= bucket < cfg.L_np:
             raise BucketRangeError(f"bucket {bucket} outside filter of {cfg.L_np}")
-        return bucket
+        return cfg.flat_bits(m, bucket)
 
     def set_bit(self, bit: int):
         w, b = divmod(bit, 64)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import baseline, storage
 from .embedding import DescriptorSet
-from .errors import ConfigError, EmptyInputError, QivrError
+from .errors import ConfigError, EmptyInputError, FingerprintMismatch, QivrError
 from .index import (InvertedIndex, ModelBundle, ScoringConfig, compute_idf,
                     score_query)
 
@@ -85,8 +85,16 @@ def run_fvstar_benchmark(db, bundle: ModelBundle, queries, ground_truth: dict,
     Rankings collapse to scenes by closest entry (a scene database's
     entries are their own scenes, so its Hamming order stands); when a shot
     database is supplied the scene shortlist is re-ranked by minimum shot
-    distance.
+    distance. Databases encoded under a GMM of another shape are rejected
+    before any query runs.
     """
+    shape = (bundle.gmm.n_components, bundle.gmm.dim)
+    for database in (db, shot_db):
+        if database is not None and (database.n_components, database.dim) != shape:
+            raise FingerprintMismatch(
+                f"{database.granularity} database was encoded with (K, d) = "
+                f"{(database.n_components, database.dim)}, the GMM has {shape}")
+
     def one(dset):
         words = baseline.encode_query(bundle.pca, bundle.gmm, dset)
         order, dists = baseline.hamming_rank(db, words)

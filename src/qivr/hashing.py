@@ -194,11 +194,3 @@ def train_vq_bank(pools, config: HashFamilyConfig) -> HashBank:
                 params[m] = rng.standard_normal((n_cent, config.input_dim))
     return HashBank(config, params, report=VqTrainReport(tuple(fallbacks)))
 
-
-def gbh_chunks(fv_values: np.ndarray, n_components: int, dim: int) -> np.ndarray:
-    """Split a K*d Fisher vector into its K per-Gaussian chunks."""
-    fv_values = np.asarray(fv_values)
-    if fv_values.shape != (n_components * dim,):
-        raise DimensionMismatch(
-            f"expected length {n_components * dim}, got {fv_values.shape}")
-    return fv_values.reshape(n_components, dim)

@@ -1,15 +1,17 @@
 """Scene indexes: Bloom-filter construction and inverted-index scoring.
 
 Bits live in one flat space so both filter layouts share a posting
-representation: partitioned filters map (hash m, bucket) to m*L_p + bucket,
-non-partitioned ones to the bucket itself. Postings are sealed into CSR
-arrays (sorted unique bit keys, offsets, scene ordinals) and every query
-probe resolves to a key by binary search.
+representation (`FilterConfig.flat_bits`): partitioned filters map (hash m,
+bucket) to m*L_p + bucket, non-partitioned ones to the bucket itself.
+Postings are sealed into CSR arrays (sorted unique bit keys, offsets, scene
+ordinals) and every query probe resolves to a key by binary search.
 
-A frame or query is embedded into (hash id, row) pairs: its Fisher vector
-or chunks under bf_gd, its descriptors' residuals under bf_pi. A build
-collects the pairs of every frame and hashes them in one `hashing.buckets`
-call; a query's pairs go through the same function.
+Frames are embedded into (hash id, row) pairs by one function,
+`hash_inputs`: their Fisher vectors or chunks under bf_gd, their
+descriptors' residuals under bf_pi. VQ training pools, builds and queries
+(a batch of one frame) all call it, and a build hashes the pairs of all its
+frames in one `hashing.buckets` call, so a query is hashed exactly like an
+indexed frame.
 
 Scoring follows the two per-probe update rules: hash-match counting
 (+1 whenever the probed bit is set for a scene) and TF-IDF
@@ -28,7 +30,7 @@ from .bloom import FilterConfig, SceneFilter
 from .embedding import (DescriptorSet, DiagonalGmm, PcaModel, apply_pca,
                         compute_fv, point_index_batch)
 from .errors import ConfigError, EmptyInputError, FingerprintMismatch
-from .hashing import DOMAIN_GBH, DOMAIN_VBH, HashBank, gbh_chunks
+from .hashing import DOMAIN_GBH, DOMAIN_VBH, HashBank, HashFamilyConfig
 
 PIPELINE_BF_GD = "bf_gd"
 PIPELINE_BF_PI = "bf_pi"
@@ -150,28 +152,36 @@ def _validate_build(pipeline: str, bundle: ModelBundle, fcfg: FilterConfig):
         raise ConfigError(f"PCA output dim {bundle.pca.d_out} != GMM dim {gmm.dim}")
 
 
-def _hash_inputs(pipeline: str, bundle: ModelBundle, projected: DescriptorSet):
-    """(hash ids, rows) that one frame or query probes, PCA already applied.
+def hash_inputs(pipeline: str, hcfg: HashFamilyConfig, gmm: DiagonalGmm, frames):
+    """(hash ids, rows, rows per frame) that frames probe, PCA already applied.
 
-    bf_gd hashes the frame's normalized Fisher vector under every hash: the
-    whole vector (vbh) or chunk m under hash m (gbh). bf_pi hashes each
-    descriptor's whitened residual under the hash of its dominant Gaussian.
+    Rows come frame after frame. bf_gd hashes each frame's normalized Fisher
+    vector under every hash: the whole vector (vbh) or chunk m under hash m
+    (gbh), so chunk m of frame f is row f*M + m. bf_pi hashes each
+    descriptor's whitened residual under the hash of its dominant Gaussian,
+    all frames' descriptors in one `point_index_batch` call.
     """
     if pipeline == PIPELINE_BF_PI:
-        comp, _, residuals = point_index_batch(bundle.gmm, projected.vectors)
-        return comp.astype(np.int64), residuals
-    hcfg = bundle.bank.config
-    fv = compute_fv(bundle.gmm, projected, normalize=True).values
-    hash_ids = np.arange(hcfg.M, dtype=np.int64)
+        stacked = np.vstack([np.empty((0, gmm.dim))] + [f.vectors for f in frames])
+        comp, _, residuals = point_index_batch(gmm, stacked)
+        return (comp.astype(np.int64), residuals,
+                np.array([f.n for f in frames], dtype=np.int64))
+    fvs = np.array([compute_fv(gmm, f, normalize=True).values for f in frames])
+    fvs = fvs.reshape(len(frames), gmm.n_components * gmm.dim)
+    hash_ids = np.tile(np.arange(hcfg.M, dtype=np.int64), len(frames))
     if hcfg.domain == DOMAIN_VBH:
-        return hash_ids, np.broadcast_to(fv, (hcfg.M, fv.size))
-    return hash_ids, gbh_chunks(fv, bundle.gmm.n_components, bundle.gmm.dim)
+        rows = np.repeat(fvs, hcfg.M, axis=0)
+    else:
+        rows = fvs.reshape(-1, gmm.dim)
+    return hash_ids, rows, np.full(len(frames), hcfg.M, dtype=np.int64)
 
 
-def _flat_bits(fcfg: FilterConfig, hash_ids: np.ndarray, buckets: np.ndarray) -> np.ndarray:
-    if fcfg.partitioned:
-        return hash_ids * fcfg.L_p + buckets
-    return buckets
+def _probe_bits(pipeline: str, bundle: ModelBundle, fcfg: FilterConfig, frames):
+    """(flat bits, bits per frame) that projected frames probe, in one
+    `hashing.buckets` call."""
+    hash_ids, rows, per_frame = hash_inputs(pipeline, bundle.bank.config, bundle.gmm, frames)
+    # buckets lie below 2^n, which _validate_build checked the filter holds
+    return fcfg.flat_bits(hash_ids, hashing.buckets(bundle.bank, rows, hash_ids)), per_frame
 
 
 def _build(pipeline: str, scenes, bundle: ModelBundle, fcfg: FilterConfig, loader):
@@ -183,12 +193,8 @@ def _build(pipeline: str, scenes, bundle: ModelBundle, fcfg: FilterConfig, loade
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate scene ids in manifest")
 
-    # every frame's (hash id, row) pairs, hashed below in one call
-    hash_ids = [np.empty(0, dtype=np.int64)]
-    rows = [np.empty((0, bundle.bank.config.input_dim))]
-    probes_per_scene = np.zeros(len(scenes), dtype=np.int64)
-    n_frames = 0
-    n_descriptors = 0
+    frames = []       # every nonempty frame, PCA applied
+    frame_scene = []  # the scene ordinal of each
     skipped = 0
     for ordinal, scene in enumerate(scenes):
         for ref in scene.frame_refs:
@@ -196,19 +202,10 @@ def _build(pipeline: str, scenes, bundle: ModelBundle, fcfg: FilterConfig, loade
             if dset.n == 0:
                 skipped += 1
                 continue
-            n_frames += 1
-            n_descriptors += dset.n
-            frame_ids, frame_rows = _hash_inputs(pipeline, bundle,
-                                                 apply_pca(bundle.pca, dset))
-            hash_ids.append(frame_ids)
-            rows.append(frame_rows)
-            probes_per_scene[ordinal] += len(frame_ids)
-
-    hash_ids = np.concatenate(hash_ids)
-    # buckets lie below 2^n, which _validate_build checked the filter holds
-    buckets = hashing.buckets(bundle.bank, np.concatenate(rows), hash_ids)
-    bits = _flat_bits(fcfg, hash_ids, buckets)
-    owners = np.repeat(np.arange(len(scenes), dtype=np.int64), probes_per_scene)
+            frames.append(apply_pca(bundle.pca, dset))
+            frame_scene.append(ordinal)
+    bits, bits_per_frame = _probe_bits(pipeline, bundle, fcfg, frames)
+    owners = np.repeat(np.array(frame_scene, dtype=np.int64), bits_per_frame)
 
     # one sorted pass over (bit, scene) pairs gives the CSR postings directly
     pairs = np.unique(bits * len(scenes) + owners)
@@ -218,7 +215,7 @@ def _build(pipeline: str, scenes, bundle: ModelBundle, fcfg: FilterConfig, loade
     keys = bit_of[starts]
     offsets = np.append(starts, len(pairs)).astype(np.int64)
 
-    stats = BuildStats(frames=n_frames, descriptors=n_descriptors,
+    stats = BuildStats(frames=len(frames), descriptors=sum(f.n for f in frames),
                        skipped_empty_frames=skipped)
     index = InvertedIndex(
         pipeline=pipeline,
@@ -270,10 +267,9 @@ def rank_ties(scores: np.ndarray) -> np.ndarray:
 
 
 def query_bits(index: InvertedIndex, bundle: ModelBundle, query: DescriptorSet) -> np.ndarray:
-    """Flat bit indices probed by a query (embeds, then hashes)."""
-    hash_ids, rows = _hash_inputs(index.pipeline, bundle, apply_pca(bundle.pca, query))
-    return _flat_bits(index.filter_config, hash_ids,
-                      hashing.buckets(bundle.bank, rows, hash_ids))
+    """Flat bit indices probed by a query: a build's path for one frame."""
+    return _probe_bits(index.pipeline, bundle, index.filter_config,
+                       [apply_pca(bundle.pca, query)])[0]
 
 
 def score_query(index: InvertedIndex, idf: IdfWeights, scoring: ScoringConfig,

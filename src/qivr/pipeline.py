@@ -24,8 +24,6 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import baseline, bloom, embedding, evaluation, hashing, index, storage
 from .errors import ConfigError, QivrError
 
@@ -115,18 +113,10 @@ def load_training(manifest_path) -> list:
 
 
 def vq_pools(cfg: RunConfig, projected, gmm):
-    """Training pools for VQ centroids, matching what the pipeline hashes,
-    from the training frames with PCA already applied."""
-    if cfg.pipeline == index.PIPELINE_BF_PI:
-        comp, _, residuals = embedding.point_index_batch(
-            gmm, np.vstack([dset.vectors for dset in projected]))
-        return [residuals[comp == r] for r in range(cfg.K)]
-    # bf_gd: each frame's Fisher vector, whole (vbh) or per-Gaussian chunk (gbh)
-    fvs = np.array([embedding.compute_fv(gmm, dset, normalize=True).values
-                    for dset in projected])
-    if cfg.domain == hashing.DOMAIN_VBH:
-        return fvs
-    return list(fvs.reshape(len(projected), cfg.K, cfg.d).swapaxes(0, 1))
+    """Training pools for VQ centroids, one per hash: the rows a build hashes
+    under it (`index.hash_inputs`), from training frames with PCA applied."""
+    hash_ids, rows, _ = index.hash_inputs(cfg.pipeline, cfg.hash_config(), gmm, projected)
+    return [rows[hash_ids == m] for m in range(cfg.M)]
 
 
 def train(cfg: RunConfig, manifest_path) -> index.ModelBundle:

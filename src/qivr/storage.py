@@ -137,6 +137,8 @@ def descriptors_from_bytes(buf: bytes, source_id: str) -> DescriptorSet:
     r = _Reader(buf, "descriptor")
     _header(r, MAGIC_DESCRIPTORS, VERSION)
     count, dim = r.take("<QI")
+    if dim == 0 and count > 0:
+        raise FormatError(f"{count} descriptors of dimension 0 in descriptor file")
     vectors = r.floats((count, dim))
     r.finish()
     return DescriptorSet(source_id, vectors)
@@ -286,10 +288,7 @@ def index_to_bytes(index: InvertedIndex) -> bytes:
     keys, offsets, ordinals = index.keys, index.offsets, index.ordinals
     parts.append(struct.pack("<Q", len(keys)))
 
-    if fcfg.partitioned:
-        m, bucket = np.divmod(keys, fcfg.L_p)
-    else:
-        m, bucket = np.zeros_like(keys), keys
+    m, bucket = fcfg.split_bits(keys)
     wide = (keys < 0) | (m > 0xFFFF) | (bucket > 0xFFFFFFFF)
     if wide.any():
         raise FormatError(f"posting key {keys[wide][0]} exceeds the (u16, u32) field widths")
@@ -341,14 +340,14 @@ def index_from_bytes(buf: bytes) -> InvertedIndex:
     bucket = head["bucket"].astype(np.int64)
     if fcfg.n_bits > np.iinfo(np.int64).max:
         raise FormatError(f"filter of {fcfg.n_bits} bits is too large")
+    # range checks first: they bound the flat bits below n_bits
     if fcfg.partitioned:
-        if np.any(m >= fcfg.M) or np.any(bucket >= fcfg.L_p):
-            raise FormatError("posting key outside the filter")
-        keys = m * fcfg.L_p + bucket
+        outside = np.any(m >= fcfg.M) or np.any(bucket >= fcfg.L_p)
     else:
-        if np.any(m != 0) or np.any(bucket >= fcfg.L_np):
-            raise FormatError("posting key outside the filter")
-        keys = bucket
+        outside = np.any(m != 0) or np.any(bucket >= fcfg.L_np)
+    if outside:
+        raise FormatError("posting key outside the filter")
+    keys = fcfg.flat_bits(m, bucket)
     if np.any(np.diff(keys) <= 0):
         raise FormatError("posting keys out of order")
 

@@ -147,3 +147,15 @@ def test_false_positive_rate_tracks_fill_fraction():
     rate, expected = hits / trials, p ** 4
     se = np.sqrt(expected * (1 - expected) / trials)
     assert abs(rate - expected) <= 3 * se
+
+
+@pytest.mark.parametrize("cfg", [_part(M=3, L_p=8), _flat(M=3, L_np=16)])
+def test_flat_bits_and_split_bits_invert_each_other(cfg):
+    f = SceneFilter("s", cfg)
+    length = cfg.L_p if cfg.partitioned else cfg.L_np
+    m, bucket = np.divmod(np.arange(cfg.M * length), length)
+    bits = cfg.flat_bits(m, bucket)
+    assert [f.bit_index(int(a), int(b)) for a, b in zip(m, bucket)] == bits.tolist()
+    back_m, back_bucket = cfg.split_bits(bits)
+    assert np.array_equal(back_bucket, bucket)
+    assert np.array_equal(back_m, m if cfg.partitioned else np.zeros_like(m))

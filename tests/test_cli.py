@@ -351,6 +351,44 @@ def test_query_non_finite_descriptors_exits_one(ws, tmp_path):
     assert err.startswith("error: ")
 
 
+def test_query_zero_width_descriptors_exits_one(ws, tmp_path):
+    bad = tmp_path / "wide.qivd"
+    bad.write_bytes(b"QIVD" + struct.pack("<IQI", storage.VERSION, 2 ** 63, 0))
+    code, out, err = run(ws.args("query", str(ws.index_file), str(bad),
+                                 "--models", str(ws.models)))
+    assert code == 1 and out == ""
+    assert _one_line(err, "error: ") and "dimension 0" in err
+
+
+def test_fvstar_evaluate_with_models_of_another_shape_exits_one(ws, tmp_path):
+    # K=4, d=3 codes (ws.models) and K=2, d=3 codes both fit one 64-bit word
+    small = tmp_path / "k2"
+    code, _, _ = run(ws.args("train", str(ws.manifest), "--pipeline", "frame_fv_star",
+                             "--K", "2", "--output", str(small)))
+    assert code == 0
+    for models, k in ((ws.models, "4"), (small, "2")):
+        code, _, _ = run(ws.args("build", str(ws.manifest), "--models", str(models),
+                                 "--pipeline", "frame_fv_star", "--K", k,
+                                 "--output", str(tmp_path / f"k{k}db")))
+        assert code == 0
+    # the K=2 frame database with the K=4 shot database beside it
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    (mixed / "fvstar.qivf").write_bytes((tmp_path / "k2db" / "fvstar.qivf").read_bytes())
+    (mixed / "shots.qivf").write_bytes((tmp_path / "k4db" / "shots.qivf").read_bytes())
+
+    def evaluate(db_dir, *rest):
+        return run(ws.args("evaluate", str(db_dir / "fvstar.qivf"), str(ws.queries),
+                           str(ws.truth), "--models", str(small), "--K", "2",
+                           "--pipeline", "frame_fv_star", *rest))
+
+    assert evaluate(tmp_path / "k2db")[0] == 0
+    for db_dir, rest in ((tmp_path / "k4db", ()), (mixed, ("--rerank",))):
+        code, out, err = evaluate(db_dir, *rest)
+        assert code == 1 and out == ""
+        assert _one_line(err, "error: ") and "(K, d) = (4, 3)" in err
+
+
 def test_evaluate_corrupt_index_exits_one(ws, tmp_path):
     blob = bytearray(ws.index_file.read_bytes())
     blob[8] = 7  # the pipeline code

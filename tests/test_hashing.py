@@ -4,8 +4,7 @@ import pytest
 from qivr.errors import ConfigError, DimensionMismatch
 from qivr.hashing import (FAMILY_LSH_B, FAMILY_LSH_C, FAMILY_LSH_S,
                           FAMILY_VQ, HashBank, HashFamilyConfig, buckets,
-                          gbh_chunks, hash_rng, sample_hash_bank,
-                          train_vq_bank)
+                          hash_rng, sample_hash_bank, train_vq_bank)
 
 
 def _cfg(family, n=4, M=3, input_dim=6, seed=7, domain="vbh"):
@@ -224,12 +223,3 @@ def test_lshc_single_bit_collision_rate_at_60_degrees():
     planes = rng.standard_normal((pairs, 16))
     collide = (np.sum(planes * u, axis=1) >= 0) == (np.sum(planes * v, axis=1) >= 0)
     assert abs(collide.mean() - (1 - theta / np.pi)) < 0.02
-
-
-def test_gbh_chunks():
-    fv = np.arange(12.0)
-    chunks = gbh_chunks(fv, 3, 4)
-    assert chunks.shape == (3, 4)
-    np.testing.assert_array_equal(chunks[1], [4, 5, 6, 7])
-    with pytest.raises(DimensionMismatch):
-        gbh_chunks(fv, 3, 5)

@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 from qivr.bloom import FilterConfig, SceneFilter
-from qivr.embedding import DescriptorSet, DiagonalGmm, PcaModel, fit_gmm
+from qivr.embedding import (DescriptorSet, DiagonalGmm, PcaModel, compute_fv,
+                            fit_gmm, point_index_batch)
 from qivr.errors import (ConfigError, EmptyInputError, FingerprintMismatch)
 from qivr.hashing import HashFamilyConfig, sample_hash_bank, train_vq_bank
 from qivr.index import (InvertedIndex, ModelBundle, PIPELINE_BF_GD,
                         PIPELINE_BF_PI, SceneRecord, ScoringConfig,
-                        build_bf_gd, build_bf_pi, compute_idf,
+                        build_bf_gd, build_bf_pi, compute_idf, hash_inputs,
                         materialize_filters, query_bits, rank_ties,
                         score_query)
+from qivr.pipeline import RunConfig, vq_pools
 
 D = 4
 K = 3
@@ -45,7 +47,6 @@ class World:
                                 input_dim=D, seed=1)
         if family == "vq":
             pooled = np.vstack(list(self.frames.values()))
-            from qivr.embedding import point_index_batch
             comp, _, residuals = point_index_batch(gmm, pooled)
             bank = train_vq_bank([residuals[comp == r] for r in range(K)], hcfg)
         else:
@@ -180,6 +181,92 @@ def test_empty_frames_are_skipped_and_counted(world):
     index = build_bf_gd(scenes, world.bundle, world.fcfg, loader)
     assert index.stats.skipped_empty_frames == 1
     assert index.stats.frames == len(frames) - 1
+
+
+# the three ways frames become hash inputs: (pipeline, hash domain)
+HASH_INPUT_CASES = [(PIPELINE_BF_PI, "gbh"), (PIPELINE_BF_GD, "gbh"), (PIPELINE_BF_GD, "vbh")]
+
+
+def _hash_setup(rng, pipeline, domain, k, d, family="lsh_c", n=4):
+    """A random GMM, a hash config for (pipeline, domain) and frames of
+    1 to 30 descriptors, two of them single-descriptor frames."""
+    w = rng.random(k) + 0.1
+    gmm = DiagonalGmm(w / w.sum(), rng.standard_normal((k, d)) * 3,
+                      rng.random((k, d)) + 0.5)
+    m = k if domain == "gbh" else k + 2
+    hcfg = HashFamilyConfig(family, domain, M=m, n=n,
+                            input_dim=d if domain == "gbh" else k * d, seed=1)
+    frames = [DescriptorSet(f"f{i}", rng.standard_normal((size, d)) * 3)
+              for i, size in enumerate([1, 7, 1, 30, 2])]
+    return gmm, hcfg, frames
+
+
+def _one_frame_inputs(pipeline, hcfg, gmm, frame):
+    """A single frame's (hash ids, rows) by the per-frame formulas."""
+    if pipeline == PIPELINE_BF_PI:
+        comp, _, residuals = point_index_batch(gmm, frame.vectors)
+        return comp, residuals
+    fv = compute_fv(gmm, frame, normalize=True).values
+    rows = np.tile(fv, (hcfg.M, 1)) if hcfg.domain == "vbh" else fv.reshape(gmm.n_components, -1)
+    return np.arange(hcfg.M), rows
+
+
+@pytest.mark.parametrize("pipeline, domain", HASH_INPUT_CASES)
+@pytest.mark.parametrize("k, d", [(3, 4), (4, 1)])
+def test_hash_inputs_of_many_frames_concatenate_single_frames(pipeline, domain, k, d):
+    rng = np.random.default_rng(10 * k + d)
+    gmm, hcfg, frames = _hash_setup(rng, pipeline, domain, k, d)
+    ids, rows, per_frame = hash_inputs(pipeline, hcfg, gmm, frames)
+    singles = [_one_frame_inputs(pipeline, hcfg, gmm, f) for f in frames]
+    assert np.array_equal(ids, np.concatenate([i for i, _ in singles]))
+    assert np.array_equal(rows, np.concatenate([r for _, r in singles]))
+    assert np.array_equal(per_frame, [len(i) for i, _ in singles])
+    for frame, (one_ids, one_rows) in zip(frames, singles):
+        got_ids, got_rows, got_n = hash_inputs(pipeline, hcfg, gmm, [frame])
+        assert np.array_equal(got_ids, one_ids) and np.array_equal(got_rows, one_rows)
+        assert np.array_equal(got_n, [len(one_ids)])
+    # no frames, no rows, each array of its usual shape
+    ids, rows, per_frame = hash_inputs(pipeline, hcfg, gmm, [])
+    assert ids.shape == (0,) and rows.shape == (0, hcfg.input_dim) and per_frame.shape == (0,)
+
+
+def _vq_pools_oracle(cfg, projected, gmm):
+    """The per-pipeline pool formula `vq_pools` replaced, one pool per hash."""
+    if cfg.pipeline == PIPELINE_BF_PI:
+        comp, _, residuals = point_index_batch(
+            gmm, np.vstack([dset.vectors for dset in projected]))
+        return [residuals[comp == r] for r in range(cfg.K)]
+    fvs = np.array([compute_fv(gmm, dset, normalize=True).values for dset in projected])
+    if cfg.domain == "vbh":
+        return [fvs] * cfg.M  # one shared pool, as train_vq_bank spreads it
+    return list(fvs.reshape(len(projected), cfg.K, cfg.d).swapaxes(0, 1))
+
+
+@pytest.mark.parametrize("pipeline, domain", HASH_INPUT_CASES)
+def test_vq_pools_match_the_per_pipeline_formula(pipeline, domain):
+    rng = np.random.default_rng(5)
+    gmm, hcfg, frames = _hash_setup(rng, pipeline, domain, 3, 2, family="vq", n=2)
+    cfg = RunConfig(pipeline=pipeline, family="vq", domain=domain, M=hcfg.M, n=hcfg.n,
+                    K=3, d=2, seed=hcfg.seed)
+    got, want = vq_pools(cfg, frames, gmm), _vq_pools_oracle(cfg, frames, gmm)
+    assert len(got) == len(want) == cfg.M
+    for pool, expected in zip(got, want):
+        assert np.array_equal(pool, expected)
+    assert np.array_equal(train_vq_bank(got, hcfg).params, train_vq_bank(want, hcfg).params)
+
+
+@pytest.mark.parametrize("pipeline, domain", HASH_INPUT_CASES)
+def test_build_of_only_empty_frames_has_no_keys(world, pipeline, domain):
+    bundle = world.bundle
+    if domain == "vbh":
+        vbh = HashFamilyConfig("lsh_c", "vbh", M=K, n=5, input_dim=K * D, seed=1)
+        bundle = dataclasses.replace(bundle, bank=sample_hash_bank(vbh))
+    build = build_bf_pi if pipeline == PIPELINE_BF_PI else build_bf_gd
+    index = build(world.scenes, bundle, world.fcfg,
+                  lambda ref: DescriptorSet("f", np.zeros((0, D))))
+    assert len(index.keys) == 0 and len(index.ordinals) == 0
+    assert index.stats.skipped_empty_frames == sum(len(s.frame_refs) for s in world.scenes)
+    assert index.stats.frames == 0 and index.stats.descriptors == 0
 
 
 # ------------------------------------------------------------------ IDF

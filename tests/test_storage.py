@@ -281,6 +281,14 @@ def test_unsupported_version_rejected():
         storage.descriptors_from_bytes(bytes(blob), "x")
 
 
+@pytest.mark.parametrize("count", [1, 2 ** 40, 2 ** 63])
+def test_zero_width_descriptors_rejected(count):
+    # a zero-width payload is empty whatever the count, so only the count is hostile
+    blob = b"QIVD" + struct.pack("<IQI", storage.VERSION, count, 0)
+    with pytest.raises(FormatError, match="dimension 0"):
+        storage.descriptors_from_bytes(blob, "x")
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_descriptors_rejected(bad):
     blob = bytearray(storage.descriptors_to_bytes(DescriptorSet("x", np.ones((2, 3)))))
